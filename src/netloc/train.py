@@ -124,6 +124,8 @@ class EvalReport:
     region_counts: tuple[int, int, int]
     predictions: np.ndarray
     targets: np.ndarray
+    true_regions: np.ndarray
+    pred_regions: np.ndarray
     families: list[str]
     sizes: list[int]
     runtime_s: float = field(default=0.0, compare=False)
@@ -224,6 +226,8 @@ def evaluate(
         region_counts=tuple(int(c) for c in counts.sum(axis=1)),
         predictions=preds,
         targets=targets,
+        true_regions=true_r,
+        pred_regions=pred_r,
         families=[it.family for it in items],
         sizes=[it.graph.n for it in items],
         runtime_s=time.perf_counter() - t0,
@@ -237,14 +241,14 @@ def write_training_artifacts(result: TrainResult, directory: str | Path) -> None
     directory.mkdir(parents=True, exist_ok=True)
     save_checkpoint(directory / "checkpoint.json", result.model, result.params, result.config.to_dict())
     rows = ["epoch,loss"]
-    rows.extend(f"{e + 1},{v!r}" for e, v in enumerate(result.loss_curve))
+    rows.extend(f"{e + 1},{float(v)!r}" for e, v in enumerate(result.loss_curve))
     (directory / "loss_curve.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     for epoch in sorted(result.snapshots):
         for name, w in result.snapshots[epoch].items():
             counts, edges = np.histogram(w.ravel(), bins=30)
             lines = ["bin_lo,bin_hi,count"]
             lines.extend(
-                f"{edges[k]!r},{edges[k + 1]!r},{int(counts[k])}" for k in range(len(counts))
+                f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}" for k in range(len(counts))
             )
             path = directory / f"weights_epoch{epoch:04d}_{name}.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -256,11 +260,10 @@ def write_eval_report(report: EvalReport, directory: str | Path) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     rows = ["id,n,family,target,prediction,true_region,pred_region"]
     for i in range(report.count):
-        t = report.targets[i]
-        p = report.predictions[i]
         rows.append(
-            f"{i},{report.sizes[i]},{report.families[i]},{t!r},{p!r},"
-            f"{int(classify_region(float(t)))},{int(classify_region(float(p)))}"
+            f"{i},{report.sizes[i]},{report.families[i]},"
+            f"{float(report.targets[i])!r},{float(report.predictions[i])!r},"
+            f"{report.true_regions[i]},{report.pred_regions[i]}"
         )
     (directory / "predictions.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     lines = ["true_region,pred_1,pred_2,pred_3"]

@@ -106,6 +106,28 @@ def betweenness_by_enumeration(adj: list[tuple[int, ...]]) -> np.ndarray:
     return bc / norm if n > 2 else bc
 
 
+def closeness_by_bfs(adj: list[tuple[int, ...]]) -> np.ndarray:
+    """Closeness (n-1) / sum of distances, by one BFS per source."""
+    n = len(adj)
+    out = np.zeros(n)
+    for s in range(n):
+        dist = {s: 0}
+        frontier = [s]
+        while frontier:
+            nxt = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w not in dist:
+                        dist[w] = dist[u] + 1
+                        nxt.append(w)
+            frontier = nxt
+        if len(dist) != n:
+            raise ValueError("closeness needs a connected graph")
+        if n > 1:
+            out[s] = (n - 1) / sum(dist.values())
+    return out
+
+
 def clustering_by_enumeration(adj: list[tuple[int, ...]]) -> np.ndarray:
     """Clustering coefficient by checking every neighbor pair directly."""
     n = len(adj)

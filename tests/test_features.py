@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import netloc.features
 from netloc.features import (
     FEATURE_COLUMNS,
     avg_neighbor_degree,
@@ -11,9 +12,14 @@ from netloc.features import (
     degree_centrality,
     pagerank,
 )
-from netloc.graphs import Graph, make_cycle, make_er, make_path, make_star, make_wheel
+from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
 
-from oracles import betweenness_by_enumeration, clustering_by_enumeration, pagerank_by_solve
+from oracles import (
+    betweenness_by_enumeration,
+    closeness_by_bfs,
+    clustering_by_enumeration,
+    pagerank_by_solve,
+)
 
 
 def complete_graph(n):
@@ -28,6 +34,18 @@ def random_connected(n, p, seed):
         if is_connected(g):
             return g
     raise AssertionError("no connected sample found")
+
+
+def six_families(n, seed=0):
+    """One graph of each family DatasetSpec knows, all on n nodes."""
+    return {
+        "cycle": make_cycle(n),
+        "path": make_path(n),
+        "star": make_star(n),
+        "wheel": make_wheel(n),
+        "er": random_connected(n, min(1.0, 4.0 / n), seed),
+        "scale_free": make_scale_free(n, 2, seed=seed),
+    }
 
 
 class TestClustering:
@@ -100,9 +118,10 @@ class TestDegreeCentrality:
 
 class TestBetweenness:
     def test_star_hub_one(self):
-        b = betweenness_centrality(make_star(5))
-        assert abs(b[0] - 1.0) < 1e-12
-        np.testing.assert_allclose(b[1:], 0.0, atol=1e-12)
+        for n in (5, 500):
+            b = betweenness_centrality(make_star(n))
+            assert abs(b[0] - 1.0) < 1e-12
+            np.testing.assert_allclose(b[1:], 0.0, atol=1e-12)
 
     def test_path4_inner(self):
         # Inner nodes of a 4-path sit on 2 of the 3 pairs they can broker.
@@ -114,16 +133,33 @@ class TestBetweenness:
         np.testing.assert_allclose(betweenness_centrality(make_cycle(5)), np.full(5, 1.0 / 6.0), atol=1e-12)
 
     def test_matches_enumeration_oracle(self):
-        for seed in range(6):
-            g = random_connected(11, 0.3, seed=seed * 7)
+        graphs = [random_connected(11, 0.3, seed=seed * 7) for seed in range(6)]
+        for n in (5, 12):
+            graphs.extend(six_families(n, seed=n).values())
+        for g in graphs:
             np.testing.assert_allclose(
                 betweenness_centrality(g),
                 betweenness_by_enumeration(g.neighbors),
                 atol=1e-10,
             )
 
+    def test_path500_closed_form(self):
+        # Node i brokers every pair with one end on each side: i * (n-1-i) pairs.
+        n = 500
+        i = np.arange(n)
+        expected = i * (n - 1 - i) / ((n - 1) * (n - 2) / 2.0)
+        np.testing.assert_allclose(betweenness_centrality(make_path(n)), expected, rtol=1e-12, atol=0.0)
+
+    def test_disconnected_graph_allowed(self):
+        # Path 0-1-2, edge 3-4, isolated node 5: only node 1 brokers a pair.
+        g = Graph(6, ((0, 1), (1, 2), (3, 4)))
+        b = betweenness_centrality(g)
+        np.testing.assert_allclose(b, [0.0, 0.1, 0.0, 0.0, 0.0, 0.0], atol=1e-15)
+        np.testing.assert_allclose(b, betweenness_by_enumeration(g.neighbors), atol=1e-15)
+
     def test_tiny_graphs_zero(self):
         np.testing.assert_array_equal(betweenness_centrality(make_path(2)), np.zeros(2))
+        np.testing.assert_array_equal(betweenness_centrality(Graph(1)), np.zeros(1))
 
 
 class TestCloseness:
@@ -135,6 +171,27 @@ class TestCloseness:
 
     def test_path3_center(self):
         np.testing.assert_allclose(closeness_centrality(make_path(3)), [2.0 / 3.0, 1.0, 2.0 / 3.0])
+
+    def test_star500_closed_form(self):
+        n = 500
+        c = closeness_centrality(make_star(n))
+        assert c[0] == 1.0
+        np.testing.assert_array_equal(c[1:], (n - 1) / (1 + 2 * (n - 2)))
+
+    def test_path500_closed_form(self):
+        # Node i sums 1..i to the left and 1..(n-1-i) to the right.
+        n = 500
+        i = np.arange(n)
+        totals = i * (i + 1) // 2 + (n - 1 - i) * (n - i) // 2
+        np.testing.assert_array_equal(closeness_centrality(make_path(n)), (n - 1) / totals)
+
+    def test_matches_bfs_oracle(self):
+        for n in (4, 12, 60):
+            for g in six_families(n, seed=n).values():
+                np.testing.assert_array_equal(closeness_centrality(g), closeness_by_bfs(g.neighbors))
+
+    def test_single_node_zero(self):
+        np.testing.assert_array_equal(closeness_centrality(Graph(1)), np.zeros(1))
 
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
@@ -172,6 +229,21 @@ class TestFeatureMatrix:
         x = build_feature_matrix(make_star(10))
         # Every star node has clustering 0, so the scaled column is all zeros.
         np.testing.assert_array_equal(x[:, 0], np.zeros(10))
+
+    def test_disconnected_rejected(self):
+        with pytest.raises(ValueError, match="connected"):
+            build_feature_matrix(Graph(4, ((0, 1), (2, 3))))
+
+    def test_source_blocks_match_one_sweep(self, monkeypatch):
+        graphs = list(six_families(60, seed=3).values()) + [Graph(7, ((0, 1), (1, 2), (4, 5)))]
+        whole = [(betweenness_centrality(g), g) for g in graphs]
+        # One source per block, then 60 nodes in blocks of 7 (the last holds 4).
+        for budget in (1, 420):
+            monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
+            for b, g in whole:
+                np.testing.assert_allclose(betweenness_centrality(g), b, rtol=1e-12, atol=1e-15)
+                if g.n == 60:
+                    np.testing.assert_array_equal(closeness_centrality(g), closeness_by_bfs(g.neighbors))
 
     def test_permutation_invariance(self):
         g = random_connected(14, 0.3, seed=5)

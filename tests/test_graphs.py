@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -206,3 +209,11 @@ class TestEdgelistIO:
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
             read_edgelist(path)
+
+    def test_readme_example_parses(self, tmp_path):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("Edge-list files are plain text") :]
+        example = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+        path = tmp_path / "readme.edges"
+        path.write_text(example)
+        assert read_edgelist(path) == Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))

@@ -6,6 +6,7 @@ import pytest
 from netloc.data import DatasetSpec, build_synthetic
 from netloc.gcn import GCN
 from netloc.models import load_checkpoint
+from netloc.spectral import RegionThresholds
 from netloc.train import (
     SNAPSHOT_EPOCHS,
     NumericFailure,
@@ -228,6 +229,34 @@ class TestArtifacts:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert set(summary) == {"count", "mse", "region_accuracy", "region_counts"}
         assert "runtime" not in (tmp_path / "summary.json").read_text()
+
+
+    def test_eval_report_regions_use_given_thresholds(self, tmp_path):
+        # A 25-cycle has IPR 0.04: region 1 under the defaults, region 3 once
+        # tau2 drops to 0.02. The constant 0.015 lands between 0.01 and 0.02.
+        items = tiny_items(train_count=2, families=("cycle",), size_range=(25, 25))
+        model, params = constant_predictor(0.015)
+        report = evaluate(model, params, items, RegionThresholds(tau1=0.01, tau2=0.02))
+        write_eval_report(report, tmp_path)
+        rows = [r.split(",") for r in (tmp_path / "predictions.csv").read_text().splitlines()[1:]]
+        assert [(r[5], r[6]) for r in rows] == [("3", "2"), ("3", "2")]
+
+    def test_every_numeric_csv_cell_parses_as_float(self, tmp_path):
+        items = tiny_items(train_count=2)
+        result = train(tiny_config(epochs=2, k0=2, k1=2, k2=2), items)
+        write_training_artifacts(result, tmp_path / "run")
+        write_eval_report(evaluate(result.model, result.params, items), tmp_path / "eval")
+        paths = sorted(tmp_path.rglob("*.csv"))
+        assert {"loss_curve.csv", "predictions.csv", "confusion.csv", "weights_epoch0000_w0.csv"} <= {
+            p.name for p in paths
+        }
+        for path in paths:
+            header, *rows = path.read_text().splitlines()
+            numeric = [k for k, name in enumerate(header.split(",")) if name != "family"]
+            for row in rows:
+                cells = row.split(",")
+                for k in numeric:
+                    float(cells[k])
 
 
 class TestGradientCheck:

@@ -8,6 +8,7 @@ exit 2 (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -98,7 +99,7 @@ def _cmd_generate(args) -> int:
     if args.test_sizes:
         overrides["test_size_range"] = tuple(args.test_sizes)
     if overrides:
-        spec = data_mod.DatasetSpec(**{**spec.to_dict(), **overrides})
+        spec = dataclasses.replace(spec, **overrides)
     t0 = time.perf_counter()
     train_items, test_items = data_mod.build_synthetic(spec)
     out = Path(args.out)

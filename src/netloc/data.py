@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .graphs import (
     read_edgelist,
     write_edgelist,
 )
-from .spectral import power_iteration, ipr
+from .spectral import label_graph
 
 __all__ = [
     "FAMILIES",
@@ -124,18 +124,7 @@ class DatasetSpec:
                 raise ValueError(f"size range starts at {lo}, but these families need n >= {needed}")
 
     def to_dict(self) -> dict:
-        return {
-            "families": list(self.families),
-            "train_count": self.train_count,
-            "test_count": self.test_count,
-            "train_size_range": list(self.train_size_range),
-            "test_size_range": list(self.test_size_range),
-            "seed": self.seed,
-            "er_mean_degree": self.er_mean_degree,
-            "sf_m": self.sf_m,
-            "label_tol": self.label_tol,
-            "label_max_iter": self.label_max_iter,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
@@ -174,11 +163,6 @@ def _build_instance(family: str, n: int, spec: DatasetSpec, rng: np.random.Gener
     raise ValueError(f"unknown family {family!r}")
 
 
-def _label(g: Graph, spec: DatasetSpec) -> float:
-    res = power_iteration(g, tol=spec.label_tol, max_iter=spec.label_max_iter)
-    return ipr(res.pev)
-
-
 def _build_split(spec: DatasetSpec, count: int, size_range: tuple[int, int], split_tag: int) -> list[LabeledGraph]:
     rng = np.random.default_rng([spec.seed, split_tag])
     lo, hi = size_range
@@ -191,7 +175,7 @@ def _build_split(spec: DatasetSpec, count: int, size_range: tuple[int, int], spl
             LabeledGraph(
                 graph=g,
                 features=build_feature_matrix(g),
-                target=_label(g, spec),
+                target=label_graph(g, tol=spec.label_tol, max_iter=spec.label_max_iter)[0],
                 family=family,
                 seed=inst_seed,
             )
@@ -311,12 +295,11 @@ def preprocess(
         seed = item.seed if isinstance(item, LabeledGraph) else None
         if g.n < min_nodes or not is_connected(g):
             continue
-        res = power_iteration(g, tol=label_tol, max_iter=label_max_iter)
         kept.append(
             LabeledGraph(
                 graph=g,
                 features=build_feature_matrix(g),
-                target=ipr(res.pev),
+                target=label_graph(g, tol=label_tol, max_iter=label_max_iter)[0],
                 family=family,
                 seed=seed,
             )
@@ -416,7 +399,7 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
     if verify:
         for i in range(0, len(items), 20):
             it = items[i]
-            fresh = ipr(power_iteration(it.graph).pev)
+            fresh = label_graph(it.graph)[0]
             if not math.isclose(fresh, it.target, rel_tol=0.0, abs_tol=1e-9):
                 raise DatasetFormatError(
                     f"{directory}: stored target for item {i} ({it.target}) "

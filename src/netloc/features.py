@@ -95,12 +95,8 @@ def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     halved and then divided by (n-1)(n-2)/2.
     """
     n = g.n
-    # CSR adjacency: the neighbors of u are indices[indptr[u]:indptr[u + 1]].
-    e = np.asarray(g.edges, dtype=np.int64).reshape(-1, 2)
-    heads = np.concatenate([e[:, 0], e[:, 1]])
-    indices = np.concatenate([e[:, 1], e[:, 0]])[np.argsort(heads, kind="stable")]
+    indptr, indices = g.csr
     deg = g.degrees
-    indptr = np.concatenate([[0], np.cumsum(deg)])
     width = max(1, _BLOCK_PAIRS // n)
     bc = np.zeros(n)
     totals = np.empty(n, dtype=np.int64)

@@ -13,7 +13,8 @@ normalized attention weights; eval mode is deterministic.
 
 Neighborhoods are flattened into one directed edge array grouped by target
 node, so softmax and aggregation are numpy segment operations rather than
-per-node loops.
+per-node loops. Layer 1's heads run stacked as one ``(n, heads, f1)`` tensor
+through the same attention sublayer that layer 2 runs with one head.
 """
 
 from __future__ import annotations
@@ -23,31 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .kernels import glorot_init, leaky_relu, leaky_relu_grad, mean_pool, relu, relu_grad, softmax
+from .kernels import glorot_init, leaky_relu, leaky_relu_grad, mean_pool, relu, relu_grad
 from .models import GraphRegressor
 
-__all__ = ["LEAKY_SLOPE", "GatInputs", "GatActivations", "GAT", "attention_scores", "attention_normalize"]
+__all__ = ["LEAKY_SLOPE", "GatInputs", "GatActivations", "GAT"]
 
 LEAKY_SLOPE = 0.2
-
-
-def attention_scores(wh_i: np.ndarray, wh_j: np.ndarray, a: np.ndarray, slope: float = LEAKY_SLOPE) -> np.ndarray:
-    """Raw score e_ij = LeakyReLU(a . [wh_i || wh_j]) for one or many row pairs."""
-    wh_i = np.asarray(wh_i, dtype=np.float64)
-    wh_j = np.asarray(wh_j, dtype=np.float64)
-    a = np.asarray(a, dtype=np.float64)
-    f = wh_i.shape[-1]
-    if a.shape != (2 * f,):
-        raise ValueError(f"attention vector must have length {2 * f}, got {a.shape}")
-    return leaky_relu(wh_i @ a[:f] + wh_j @ a[f:], slope)
-
-
-def attention_normalize(scores: np.ndarray) -> np.ndarray:
-    """Softmax of one neighborhood's raw scores; positive and sums to 1."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.ndim != 1 or scores.shape[0] == 0:
-        raise ValueError("attention_normalize expects a nonempty 1-D score vector")
-    return softmax(scores)
 
 
 @dataclass
@@ -70,12 +52,15 @@ class GatInputs:
 
 @dataclass
 class AttnCache:
-    """One attention sublayer's intermediates for one forward pass."""
+    """One attention sublayer's intermediates for one forward pass.
+
+    Node arrays are ``(n, heads, f)`` or ``(n, heads)``, edge arrays
+    ``(E, heads)``.
+    """
 
     wh: np.ndarray
     pre: np.ndarray
     alpha: np.ndarray
-    alpha_used: np.ndarray
     amask: np.ndarray | None
     s: np.ndarray
 
@@ -86,7 +71,7 @@ class GatActivations:
     train: bool
     h0d: np.ndarray
     mask0: np.ndarray | None
-    heads: list[AttnCache]
+    heads: AttnCache
     h1c: np.ndarray
     mask1: np.ndarray | None
     h1in: np.ndarray
@@ -128,12 +113,9 @@ class GAT(GraphRegressor):
         self.f2 = f2
         self.dropout = dropout
         self.bias_init = float(bias_init)
-        names: list[str] = []
-        for h in range(heads):
-            names.append(f"w1h{h}")
-            names.append(f"a1h{h}")
-        names.extend(["w2", "a2", "w_lin", "b"])
-        self.param_names = tuple(names)
+        self._w1_names = tuple(f"w1h{h}" for h in range(heads))
+        self._a1_names = tuple(f"a1h{h}" for h in range(heads))
+        self.param_names = sum(zip(self._w1_names, self._a1_names), ()) + ("w2", "a2", "w_lin", "b")
 
     def widths(self) -> dict:
         return {
@@ -161,32 +143,30 @@ class GAT(GraphRegressor):
         h0 = np.asarray(h0, dtype=np.float64)
         if h0.shape != (graph.n, self.d):
             raise ValueError(f"features must be {(graph.n, self.d)}, got {h0.shape}")
-        tgt: list[int] = []
-        nbr: list[int] = []
-        starts: list[int] = []
-        pos: dict[tuple[int, int], int] = {}
-        k = 0
-        for i in range(graph.n):
-            starts.append(k)
-            for j in sorted(graph.neighbors[i] + (i,)):
-                pos[(i, j)] = k
-                tgt.append(i)
-                nbr.append(j)
-                k += 1
-        tperm = np.array([pos[(nbr[q], tgt[q])] for q in range(k)], dtype=np.int64)
+        n = graph.n
+        indptr, indices = graph.csr
+        node = np.arange(n)
+        # Insert the self loops, then order the pairs by (target, neighbor).
+        tgt = np.concatenate([np.repeat(node, np.diff(indptr)), node])
+        nbr = np.concatenate([indices, node])
+        order = np.lexsort((nbr, tgt))
+        tgt, nbr = tgt[order], nbr[order]
+        # The pair set is symmetric, so the edge order by (neighbor, target)
+        # lists, for each pair, the position of its reverse.
         return GatInputs(
-            n=graph.n,
+            n=n,
             h0=h0,
-            tgt=np.array(tgt, dtype=np.int64),
-            nbr=np.array(nbr, dtype=np.int64),
-            starts=np.array(starts, dtype=np.int64),
-            tperm=tperm,
+            tgt=tgt,
+            nbr=nbr,
+            starts=indptr[:-1] + node,
+            tperm=np.lexsort((tgt, nbr)),
         )
 
     def _attend(self, wh, a, inputs: GatInputs, train: bool, rng, keep: float) -> AttnCache:
-        f = wh.shape[1]
-        u = wh @ a[:f]
-        v = wh @ a[f:]
+        """Attention sublayer over ``wh`` of shape (n, heads, f), ``a`` of shape (heads, 2f)."""
+        f = wh.shape[2]
+        u = np.einsum("nhf,hf->nh", wh, a[:, :f])
+        v = np.einsum("nhf,hf->nh", wh, a[:, f:])
         pre = u[inputs.tgt] + v[inputs.nbr]
         e = leaky_relu(pre, LEAKY_SLOPE)
         mx = np.maximum.reduceat(e, inputs.starts)
@@ -194,33 +174,40 @@ class GAT(GraphRegressor):
         denom = np.add.reduceat(ex, inputs.starts)
         alpha = ex / denom[inputs.tgt]
         if train and self.dropout > 0.0:
-            amask = (rng.random(alpha.shape[0]) < keep).astype(np.float64)
+            # One (heads, E) draw takes the rng stream in head-by-head order.
+            amask = (rng.random(alpha.shape[::-1]) < keep).T
             alpha_used = alpha * amask / keep
         else:
             amask = None
             alpha_used = alpha
-        s = np.add.reduceat(alpha_used[:, None] * wh[inputs.nbr], inputs.starts, axis=0)
-        return AttnCache(wh=wh, pre=pre, alpha=alpha, alpha_used=alpha_used, amask=amask, s=s)
+        # Scaled in place, so one (E, heads, f) temporary is live, not two.
+        msg = wh[inputs.nbr]
+        msg *= alpha_used[:, :, None]
+        s = np.add.reduceat(msg, inputs.starts)
+        return AttnCache(wh=wh, pre=pre, alpha=alpha, amask=amask, s=s)
 
     def _attend_backward(self, cache: AttnCache, a, ds, inputs: GatInputs, keep: float):
         """Gradients of one attention sublayer: returns (d_wh, d_a)."""
         tgt, nbr, starts, tperm = inputs.tgt, inputs.nbr, inputs.starts, inputs.tperm
-        dalpha_used = (ds[tgt] * cache.wh[nbr]).sum(axis=1)
-        edge_vals = cache.alpha_used[:, None] * ds[tgt]
-        dwh = np.add.reduceat(edge_vals[tperm], starts, axis=0)
+        dalpha_used = np.einsum("ehf,ehf->eh", ds[tgt], cache.wh[nbr])
         if cache.amask is not None:
+            alpha_used = cache.alpha * cache.amask / keep
             dalpha = dalpha_used * cache.amask / keep
         else:
-            dalpha = dalpha_used
+            alpha_used, dalpha = cache.alpha, dalpha_used
+        # Pair q's reverse sits at tperm[q] and has target nbr[q].
+        msg = ds[nbr]
+        msg *= alpha_used[tperm][:, :, None]
+        dwh = np.add.reduceat(msg, starts)
         # Softmax Jacobian per neighborhood: de = alpha * (dalpha - <alpha, dalpha>).
         seg_dot = np.add.reduceat(cache.alpha * dalpha, starts)
         de = cache.alpha * (dalpha - seg_dot[tgt])
         dpre = de * leaky_relu_grad(cache.pre, LEAKY_SLOPE)
         du = np.add.reduceat(dpre, starts)
         dv = np.add.reduceat(dpre[tperm], starts)
-        f = cache.wh.shape[1]
-        da = np.concatenate([cache.wh.T @ du, cache.wh.T @ dv])
-        dwh = dwh + du[:, None] * a[:f][None, :] + dv[:, None] * a[f:][None, :]
+        f = cache.wh.shape[2]
+        da = np.concatenate([np.einsum("nhf,nh->hf", cache.wh, d) for d in (du, dv)], axis=1)
+        dwh = dwh + du[:, :, None] * a[:, :f] + dv[:, :, None] * a[:, f:]
         return dwh, da
 
     def forward(self, params, inputs: GatInputs, train: bool = False, rng=None) -> tuple[float, GatActivations]:
@@ -228,29 +215,26 @@ class GAT(GraphRegressor):
             raise ValueError("train-mode forward needs an rng for dropout")
         keep = 1.0 - self.dropout
         drop = train and self.dropout > 0.0
+        n = inputs.n
         if drop:
-            mask0 = (rng.random(inputs.h0.shape) < keep).astype(np.float64)
+            mask0 = rng.random(inputs.h0.shape) < keep
             h0d = inputs.h0 * mask0 / keep
         else:
             mask0 = None
             h0d = inputs.h0
-        head_caches: list[AttnCache] = []
-        head_outs: list[np.ndarray] = []
-        for h in range(self.heads):
-            wh = h0d @ params[f"w1h{h}"]
-            cache = self._attend(wh, params[f"a1h{h}"], inputs, train, rng, keep)
-            head_caches.append(cache)
-            head_outs.append(relu(cache.s))
-        h1c = np.concatenate(head_outs, axis=1)
+        w1 = np.concatenate([params[k] for k in self._w1_names], axis=1)
+        a1 = np.stack([params[k] for k in self._a1_names])
+        heads = self._attend((h0d @ w1).reshape(n, self.heads, self.f1), a1, inputs, train, rng, keep)
+        h1c = relu(heads.s).reshape(n, self.heads * self.f1)
         if drop:
-            mask1 = (rng.random(h1c.shape) < keep).astype(np.float64)
+            mask1 = rng.random(h1c.shape) < keep
             h1in = h1c * mask1 / keep
         else:
             mask1 = None
             h1in = h1c
-        wh2 = h1in @ params["w2"]
-        layer2 = self._attend(wh2, params["a2"], inputs, train, rng, keep)
-        h2 = relu(layer2.s)
+        wh2 = (h1in @ params["w2"]).reshape(n, 1, self.f2)
+        layer2 = self._attend(wh2, params["a2"][None, :], inputs, train, rng, keep)
+        h2 = relu(layer2.s[:, 0])
         z = mean_pool(h2)
         yhat = float(z @ params["w_lin"][:, 0] + params["b"])
         return yhat, GatActivations(
@@ -258,7 +242,7 @@ class GAT(GraphRegressor):
             train=train,
             h0d=h0d,
             mask0=mask0,
-            heads=head_caches,
+            heads=heads,
             h1c=h1c,
             mask1=mask1,
             h1in=h1in,
@@ -275,20 +259,20 @@ class GAT(GraphRegressor):
         dz = dy * params["w_lin"][:, 0]
         dw_lin = dy * acts.z[:, None]
         db = np.array(dy)
-        ds2 = relu_grad(acts.layer2.s) * (dz / n)[None, :]
-        dwh2, da2 = self._attend_backward(acts.layer2, params["a2"], ds2, inputs, keep)
+        ds2 = relu_grad(acts.layer2.s) * (dz / n)
+        dwh2, da2 = self._attend_backward(acts.layer2, params["a2"][None, :], ds2, inputs, keep)
+        dwh2 = dwh2[:, 0]
         dw2 = acts.h1in.T @ dwh2
         dh1in = dwh2 @ params["w2"].T
         if acts.mask1 is not None:
             dh1c = dh1in * acts.mask1 / keep
         else:
             dh1c = dh1in
-        grads: dict[str, np.ndarray] = {"w2": dw2, "a2": da2, "w_lin": dw_lin, "b": db}
-        for h in range(self.heads):
-            cache = acts.heads[h]
-            dh1_h = dh1c[:, h * self.f1 : (h + 1) * self.f1]
-            ds_h = relu_grad(cache.s) * dh1_h
-            dwh_h, da1_h = self._attend_backward(cache, params[f"a1h{h}"], ds_h, inputs, keep)
-            grads[f"w1h{h}"] = acts.h0d.T @ dwh_h
-            grads[f"a1h{h}"] = da1_h
+        ds1 = relu_grad(acts.heads.s) * dh1c.reshape(acts.heads.s.shape)
+        a1 = np.stack([params[k] for k in self._a1_names])
+        dwh1, da1 = self._attend_backward(acts.heads, a1, ds1, inputs, keep)
+        dw1 = acts.h0d.T @ dwh1.reshape(n, self.heads * self.f1)
+        grads: dict[str, np.ndarray] = {"w2": dw2, "a2": da2[0], "w_lin": dw_lin, "b": db}
+        grads.update(zip(self._w1_names, np.split(dw1, self.heads, axis=1)))
+        grads.update(zip(self._a1_names, da1))
         return grads

@@ -66,12 +66,22 @@ class Graph:
         return tuple(tuple(sorted(a)) for a in adj)
 
     @cached_property
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Adjacency as int64 CSR arrays ``(indptr, indices)``.
+
+        The neighbors of u are ``indices[indptr[u]:indptr[u + 1]]``: first
+        those above u, then those below it, each run ascending.
+        """
+        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        heads = np.concatenate([e[:, 0], e[:, 1]])
+        indices = np.concatenate([e[:, 1], e[:, 0]])[np.argsort(heads, kind="stable")]
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(heads, minlength=self.n), out=indptr[1:])
+        return indptr, indices
+
+    @cached_property
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
+        return np.diff(self.csr[0])
 
     def adjacency_matrix(self) -> np.ndarray:
         """Dense symmetric 0/1 adjacency matrix, float64."""
@@ -190,34 +200,50 @@ def write_edgelist(g: Graph, path: str | Path) -> None:
 
 
 def read_edgelist(path: str | Path) -> Graph:
-    """Parse the text edge-list form written by :func:`write_edgelist`."""
+    """Parse the text edge-list form written by :func:`write_edgelist`.
+
+    Blank lines are skipped; errors name the file and the line as numbered
+    in the file.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    rows = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in rows if ln]
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
+
+    def at(q: int) -> str:
+        # Only errors pay for mapping the q-th nonblank line back to its number.
+        return f"{path}:{[k for k, ln in enumerate(rows, start=1) if ln][q]}"
+
     head = lines[0].split()
     if len(head) != 2:
-        raise ValueError(f"{path}:1: header must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"{at(0)}: header must be 'n m', got {lines[0]!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise ValueError(f"{path}:1: header must be two integers") from exc
+        raise ValueError(f"{at(0)}: header must be two integers") from exc
+    if n < 1:
+        raise ValueError(f"{at(0)}: graph needs at least one node, got n={n}")
     if len(lines) - 1 != m:
         raise ValueError(f"{path}: header claims {m} edges, found {len(lines) - 1}")
-    edges = []
-    for k, ln in enumerate(lines[1:], start=2):
+    edges: list[tuple[int, int]] = []
+    for q, ln in enumerate(lines[1:], start=1):
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"{path}:{k}: edge line must be 'i j', got {ln!r}")
+            raise ValueError(f"{at(q)}: edge line must be 'i j', got {ln!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ValueError(f"{path}:{k}: edge endpoints must be integers") from exc
-        if not i < j:
-            raise ValueError(f"{path}:{k}: edges must be written with i < j, got {i} {j}")
+            raise ValueError(f"{at(q)}: edge endpoints must be integers") from exc
+        if not 0 <= i < j < n:
+            if not i < j:
+                raise ValueError(f"{at(q)}: edges must be written with i < j, got {i} {j}")
+            raise ValueError(f"{at(q)}: edge ({i},{j}) out of range for n={n}")
         edges.append((i, j))
-    try:
-        return Graph(n, tuple(edges))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    if len(set(edges)) < m:
+        seen: set[tuple[int, int]] = set()
+        for q, (i, j) in enumerate(edges, start=1):
+            if (i, j) in seen:
+                raise ValueError(f"{at(q)}: duplicate edge ({i},{j})")
+            seen.add((i, j))
+    return Graph(n, tuple(edges))

@@ -1,4 +1,4 @@
-"""Dense numeric kernels: matrix ops, activations, init, and regression losses.
+"""Dense numeric kernels: graph propagation, activations, init, and regression losses.
 
 Everything is float64 numpy. These are the only primitives the model modules
 build on, so their contracts (shapes, kinks, gradients) are pinned by tests.
@@ -13,13 +13,11 @@ import numpy as np
 from .graphs import Graph
 
 __all__ = [
-    "matmul",
     "normalized_adjacency",
     "relu",
     "relu_grad",
     "leaky_relu",
     "leaky_relu_grad",
-    "softmax",
     "mean_pool",
     "glorot_init",
     "LossKind",
@@ -28,17 +26,6 @@ __all__ = [
     "loss",
     "loss_grad",
 ]
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Product of two 2-D float matrices with explicit shape validation."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"matmul needs 2-D operands, got {a.ndim}-D and {b.ndim}-D")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"inner dimensions differ: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
@@ -68,14 +55,6 @@ def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
 
 def leaky_relu_grad(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
     return np.where(x > 0.0, 1.0, slope)
-
-
-def softmax(x: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis; invariant to a constant shift."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
 
 
 def mean_pool(h: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ class GraphRegressor:
     """
 
     kind: str = ""
+    d: int
     param_names: tuple[str, ...] = ()
 
     def widths(self) -> dict:

@@ -324,7 +324,7 @@ def gradient_check(
                     break
             if g is None:
                 break
-            prepared.append(model.prepare(g, rng.random((n, model.d if hasattr(model, "d") else 7))))
+            prepared.append(model.prepare(g, rng.random((n, model.d))))
         if len(prepared) != 2:
             continue
         targets = rng.uniform(0.05, 0.5, size=2)
@@ -358,7 +358,5 @@ def _kink_gap(model: GraphRegressor, params, inputs) -> float:
     _, acts = model.forward(params, inputs)
     if isinstance(model, GCN):
         return min(float(np.min(np.abs(a))) for a in (acts.q1, acts.q2, acts.q3))
-    vals = [acts.layer2.pre, acts.layer2.s]
-    for cache in acts.heads:
-        vals.extend([cache.pre, cache.s])
+    vals = (acts.heads.pre, acts.heads.s, acts.layer2.pre, acts.layer2.s)
     return min(float(np.min(np.abs(v))) for v in vals)

@@ -2,7 +2,8 @@
 
 Each routine here is deliberately a different algorithm from the one in the
 package (Jacobi rotations vs power iteration, path enumeration vs Brandes,
-linear solve vs fixed-point iteration), so agreement is meaningful.
+linear solve vs fixed-point iteration, per-node loops vs segment operations),
+so agreement is meaningful.
 """
 
 from __future__ import annotations
@@ -149,6 +150,46 @@ def pagerank_by_solve(adj_matrix: np.ndarray, damping: float = 0.85) -> np.ndarr
     m = adj_matrix / deg[None, :]
     p = np.linalg.solve(np.eye(n) - damping * m, np.full(n, (1.0 - damping) / n))
     return p
+
+
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Stable softmax over the last axis; invariant to a constant shift."""
+    x = np.asarray(x, dtype=np.float64)
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+def attention_scores(wh_i: np.ndarray, wh_j: np.ndarray, a: np.ndarray, slope: float = 0.2) -> np.ndarray:
+    """Raw GAT score e_ij = LeakyReLU(a . [wh_i || wh_j]) for one or many row pairs."""
+    wh_i = np.asarray(wh_i, dtype=np.float64)
+    wh_j = np.asarray(wh_j, dtype=np.float64)
+    a = np.asarray(a, dtype=np.float64)
+    f = wh_i.shape[-1]
+    if a.shape != (2 * f,):
+        raise ValueError(f"attention vector must have length {2 * f}, got {a.shape}")
+    x = np.concatenate([wh_i, wh_j], axis=-1) @ a
+    return np.where(x > 0.0, x, slope * x)
+
+
+def attention_neighborhoods(adj: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """GAT edge arrays (tgt, nbr, starts, tperm) by a per-node loop.
+
+    Every node attends to its sorted neighborhood plus itself; pairs are
+    grouped by target, and tperm[q] is the position of the reverse of pair q.
+    """
+    tgt: list[int] = []
+    nbr: list[int] = []
+    starts: list[int] = []
+    pos: dict[tuple[int, int], int] = {}
+    for i, hood in enumerate(adj):
+        starts.append(len(tgt))
+        for j in sorted(hood + (i,)):
+            pos[(i, j)] = len(tgt)
+            tgt.append(i)
+            nbr.append(j)
+    tperm = [pos[(j, i)] for i, j in zip(tgt, nbr)]
+    return tuple(np.array(x, dtype=np.int64) for x in (tgt, nbr, starts, tperm))
 
 
 def ipr_direct(v: np.ndarray) -> float:

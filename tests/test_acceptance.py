@@ -19,7 +19,7 @@ import pytest
 from netloc.data import DatasetSpec, build_synthetic, ingest_tu_dataset, preprocess
 from netloc.gcn import GCN
 from netloc.graphs import make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
-from netloc.kernels import MSE, loss_grad, matmul
+from netloc.kernels import MSE, loss_grad
 from netloc.spectral import DynamicsParams, integrate_dynamics, ipr, power_iteration
 from netloc.train import TrainConfig, evaluate, gradient_check, train
 
@@ -87,7 +87,7 @@ def test_criterion_03_reference_chain_and_accumulation():
     a = np.array([[1.0, 2.0], [3.0, 4.0]])
     h = np.array([[1.0, 0.0, 2.0], [-1.0, 3.0, 1.0]])
     w = np.array([[1.0, 2.0], [0.0, 1.0], [-1.0, 0.0]])
-    chain = matmul(matmul(a, h), w)
+    chain = (a @ h) @ w
     exact = chain.tolist() == [[-5.0, 4.0], [-11.0, 10.0]]
 
     model = GCN(d=3, k0=4, k1=4, k2=4)

@@ -216,6 +216,53 @@ class TestSaveLoad:
         assert manifest["name"] == "toy"
         assert DatasetSpec.from_dict(manifest["spec"]) == spec
 
+    def test_manifest_text_is_pinned(self, tmp_path):
+        spec = small_spec(
+            families=("cycle", "er"),
+            train_count=2,
+            test_count=1,
+            train_size_range=(9, 10),
+            test_size_range=(12, 12),
+            seed=3,
+            er_mean_degree=4.0,
+        )
+        items, _ = build_synthetic(spec)
+        save_dataset(items, tmp_path, spec=spec, name="train")
+        text = (
+            '{\n'
+            ' "count": 2,\n'
+            ' "format": "netloc-dataset",\n'
+            ' "name": "train",\n'
+            ' "seeds": {\n'
+            '  "0": null,\n'
+            '  "1": 2184191404571879930\n'
+            ' },\n'
+            ' "spec": {\n'
+            '  "er_mean_degree": 4.0,\n'
+            '  "families": [\n'
+            '   "cycle",\n'
+            '   "er"\n'
+            '  ],\n'
+            '  "label_max_iter": 100000,\n'
+            '  "label_tol": 1e-10,\n'
+            '  "seed": 3,\n'
+            '  "sf_m": 2,\n'
+            '  "test_count": 1,\n'
+            '  "test_size_range": [\n'
+            '   12,\n'
+            '   12\n'
+            '  ],\n'
+            '  "train_count": 2,\n'
+            '  "train_size_range": [\n'
+            '   9,\n'
+            '   10\n'
+            '  ]\n'
+            ' },\n'
+            ' "version": 1\n'
+            '}\n'
+        )
+        assert (tmp_path / "manifest.json").read_text(encoding="utf-8") == text
+
     def test_layout_files(self, tmp_path):
         items, _ = build_synthetic(small_spec(train_count=3, test_count=0))
         save_dataset(items, tmp_path / "ds")

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from netloc.gat import GAT, attention_normalize, attention_scores
-from netloc.graphs import Graph, make_er, make_path, make_star
-from netloc.kernels import MSE, loss, softmax
+from netloc.gat import GAT
+from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
+from netloc.kernels import MSE, loss
 
-from oracles import fd_gradient
+from oracles import attention_neighborhoods, attention_scores, fd_gradient, softmax
 
 
 def connected_er(n, p, seed):
@@ -19,6 +19,8 @@ def connected_er(n, p, seed):
 
 
 class TestScoreHelpers:
+    """The reference scores and softmax that the per-node attention test trusts."""
+
     def test_all_ones_score(self):
         f = 5
         wh = np.ones(f)
@@ -45,17 +47,41 @@ class TestScoreHelpers:
             attention_scores(np.ones(3), np.ones(3), np.ones(5))
 
     def test_normalize_sums_to_one(self):
-        alpha = attention_normalize(np.array([1.0, -2.0, 0.5]))
+        alpha = softmax(np.array([1.0, -2.0, 0.5]))
         assert abs(alpha.sum() - 1.0) < 1e-12
         assert np.all(alpha > 0)
 
     def test_normalize_shift_invariant(self):
         s = np.array([0.2, -1.0, 3.0])
-        np.testing.assert_allclose(attention_normalize(s), attention_normalize(s + 50.0), atol=1e-12)
+        np.testing.assert_allclose(softmax(s), softmax(s + 50.0), atol=1e-12)
 
     def test_normalize_rejects_empty(self):
         with pytest.raises(ValueError):
-            attention_normalize(np.array([]))
+            softmax(np.array([]))
+
+
+class TestPrepare:
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_cycle(7),
+            make_path(6),
+            make_star(9),
+            make_wheel(8),
+            make_er(30, 0.2, seed=4),
+            make_scale_free(25, 2, seed=3),
+            Graph(1),
+            Graph(6, ((0, 1), (0, 2), (3, 5))),
+        ],
+        ids=["cycle", "path", "star", "wheel", "er", "scale_free", "n1", "disconnected"],
+    )
+    def test_edge_arrays_match_per_node_loop(self, g):
+        inputs = GAT(d=7).prepare(g, np.zeros((g.n, 7)))
+        expected = attention_neighborhoods(g.neighbors)
+        for name, want in zip(("tgt", "nbr", "starts", "tperm"), expected):
+            got = getattr(inputs, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 def segment(values, starts, i, total):
@@ -69,12 +95,12 @@ class TestForward:
         params = model.init_params(0)
         inputs = model.prepare(Graph(1, ()), np.random.default_rng(0).uniform(size=(1, 7)))
         _, acts = model.forward(params, inputs)
-        np.testing.assert_array_equal(acts.heads[0].alpha, [1.0])
-        np.testing.assert_array_equal(acts.layer2.alpha, [1.0])
+        np.testing.assert_array_equal(acts.heads.alpha, [[1.0, 1.0]])
+        np.testing.assert_array_equal(acts.layer2.alpha, [[1.0]])
 
     def test_alpha_matches_scalar_helpers(self):
-        # The vectorized segment softmax must agree with an explicit per-node
-        # loop over the same scoring helpers.
+        # The stacked segment softmax must agree, head by head, with an
+        # explicit per-node loop over the reference scores.
         model = GAT(d=7, heads=2, f1=3, f2=4, dropout=0.6)
         params = model.init_params(5)
         g = connected_er(9, 0.35, seed=2)
@@ -85,13 +111,12 @@ class TestForward:
         for h in range(model.heads):
             wh = feats @ params[f"w1h{h}"]
             a = params[f"a1h{h}"]
-            cache = acts.heads[h]
-            np.testing.assert_allclose(cache.wh, wh, atol=1e-12)
+            np.testing.assert_allclose(acts.heads.wh[:, h], wh, atol=1e-12)
             for i in range(g.n):
                 hood = sorted(g.neighbors[i] + (i,))
                 scores = attention_scores(np.tile(wh[i], (len(hood), 1)), wh[list(hood)], a)
-                expected = attention_normalize(scores)
-                got = segment(cache.alpha, inputs.starts, i, len(inputs.tgt))
+                expected = softmax(scores)
+                got = segment(acts.heads.alpha[:, h], inputs.starts, i, len(inputs.tgt))
                 np.testing.assert_allclose(got, expected, atol=1e-12)
 
     def test_alpha_segments_sum_to_one(self):
@@ -100,8 +125,9 @@ class TestForward:
         g = make_star(12)
         inputs = model.prepare(g, np.random.default_rng(3).uniform(size=(12, 7)))
         _, acts = model.forward(params, inputs)
-        sums = np.add.reduceat(acts.layer2.alpha, inputs.starts)
-        np.testing.assert_allclose(sums, np.ones(12), atol=1e-12)
+        for cache in (acts.heads, acts.layer2):
+            sums = np.add.reduceat(cache.alpha, inputs.starts)
+            np.testing.assert_allclose(sums, np.ones((12, cache.alpha.shape[1])), atol=1e-12)
 
     def test_eval_mode_deterministic(self):
         model = GAT(d=7, heads=2, f1=4, f2=4, dropout=0.6)
@@ -120,6 +146,19 @@ class TestForward:
         y3, _ = model.forward(params, inputs, train=True, rng=np.random.default_rng(8))
         assert y1 == y2
         assert y1 != y3
+
+    def test_attention_dropout_draws_head_by_head(self):
+        # Training runs depend on the rng stream: the input mask first, then
+        # each head's attention mask over all edges in turn.
+        model = GAT(d=7, heads=3, f1=2, f2=2, dropout=0.5)
+        params = model.init_params(1)
+        inputs = model.prepare(make_star(5), np.random.default_rng(2).uniform(size=(5, 7)))
+        _, acts = model.forward(params, inputs, train=True, rng=np.random.default_rng(7))
+        replay = np.random.default_rng(7)
+        replay.random(inputs.h0.shape)
+        for h in range(model.heads):
+            expected = replay.random(inputs.tgt.size) < 0.5
+            np.testing.assert_array_equal(acts.heads.amask[:, h], expected)
 
     def test_train_mode_requires_rng(self):
         model = GAT(d=7, heads=1, f1=2, f2=2, dropout=0.6)

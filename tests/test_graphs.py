@@ -204,6 +204,22 @@ class TestEdgelistIO:
         with pytest.raises(ValueError, match="i < j"):
             read_edgelist(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("3 2\n\n0 1\n1 x\n", r":4: edge endpoints must be integers"),
+            ("3 2\n0 1\n1 5\n", r":3: edge \(1,5\) out of range for n=3"),
+            ("3 2\n0 1\n\n0 1\n", r":4: duplicate edge \(0,1\)"),
+            ("\n0 0\n", r":2: graph needs at least one node, got n=0"),
+        ],
+        ids=["after-blank-line", "out-of-range", "duplicate", "no-nodes"],
+    )
+    def test_errors_name_the_original_line(self, tmp_path, text, message):
+        path = tmp_path / "bad.edges"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}{message}"):
+            read_edgelist(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.edges"
         path.write_text("")

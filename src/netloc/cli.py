@@ -187,8 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectral", help="principal eigenpair and IPR of one edge list")
     p.add_argument("edgelist")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=100000, dest="max_iter")
+    p.add_argument("--tol", type=float, default=1e-10, help="bound on the residual ||A v - lambda1 v|| of the result")
+    p.add_argument(
+        "--max-iter",
+        type=int,
+        default=100000,
+        dest="max_iter",
+        help="cap on power steps; from step 2n a slowly contracting graph finishes with one dense eigh",
+    )
     _add_threshold_flags(p)
     p.set_defaults(func=_cmd_spectral)
 

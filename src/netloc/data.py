@@ -351,7 +351,8 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
     """Read the native layout back; features are recomputed from the graphs.
 
     With ``verify`` on, every 20th stored target is re-derived from the
-    spectral oracle and must agree to 1e-9.
+    spectral oracle, at the ``label_tol`` and ``label_max_iter`` of the
+    manifest's spec if it has one, and must agree to 1e-9.
     """
     directory = Path(directory)
     man_path = directory / "manifest.json"
@@ -397,9 +398,13 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
             f"{directory}: manifest says {manifest.get('count')} items, found {len(items)}"
         )
     if verify:
+        try:
+            spec = DatasetSpec.from_dict(manifest["spec"]) if manifest.get("spec") else DatasetSpec()
+        except (TypeError, ValueError) as exc:
+            raise DatasetFormatError(f"{man_path}: bad spec ({exc})") from exc
         for i in range(0, len(items), 20):
             it = items[i]
-            fresh = label_graph(it.graph)[0]
+            fresh = label_graph(it.graph, tol=spec.label_tol, max_iter=spec.label_max_iter)[0]
             if not math.isclose(fresh, it.target, rel_tol=0.0, abs_tol=1e-9):
                 raise DatasetFormatError(
                     f"{directory}: stored target for item {i} ({it.target}) "

@@ -8,6 +8,7 @@ that vector is the regression target used throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -94,9 +95,17 @@ def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     """Principal eigenpair of the adjacency matrix of a connected graph.
 
     Iterates on A + I (same eigenvectors as A, strictly dominant top
-    eigenvalue even for bipartite graphs) from the all-ones start vector.
-    Converges when the residual ||A u - lambda u||_2 drops to ``tol``; the
-    returned PEV has unit norm and positive entries.
+    eigenvalue even for bipartite graphs) from the all-ones start vector,
+    one O(m) gather over ``g.csr`` per step. Converges when the residual
+    ||A u - lambda u||_2 drops to ``tol``; the returned PEV has unit norm and
+    positive entries.
+
+    Every n steps from step 2n on, the residual's contraction over the last
+    n steps is compared with what is still needed. When n more steps at that
+    rate would not reach ``tol`` (a small spectral gap, as on long paths),
+    the rest of the power steps would cost more than one dense ``eigh``, so
+    the top eigenpair is taken from ``eigh`` instead and must pass the same
+    residual test. ``iterations`` counts the power steps taken.
     """
     if tol <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
@@ -104,26 +113,54 @@ def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     if not is_connected(g):
         raise ValueError("power iteration needs a connected graph")
-    a = g.adjacency_matrix()
-    u = np.full(g.n, 1.0 / np.sqrt(g.n))
-    lam = 0.0
-    residual = np.inf
+    n = g.n
+    _, indices = g.csr
+    rows = np.repeat(np.arange(n), g.degrees)
+    u = np.full(n, 1.0 / np.sqrt(n))
+    earlier = np.inf
     for it in range(1, max_iter + 1):
-        w = a @ u
+        w = np.bincount(rows, weights=u[indices], minlength=n)  # A u
         lam = float(u @ w)
-        residual = float(np.linalg.norm(w - lam * u))
+        r = w - lam * u
+        residual = math.sqrt(r @ r)
         if residual <= tol:
-            if u.sum() < 0.0:
-                u = -u
-            return SpectralResult(eigenvalue=lam, pev=u, iterations=it, residual=residual)
+            break
+        if it % n == 0:
+            # With rho = (residual / earlier)**(1/n) the per-step contraction,
+            # tol needs log(tol/residual)/log(rho) more steps; switch when that
+            # exceeds n (or rho >= 1), i.e. when residual/earlier > tol/residual.
+            if it >= 2 * n and residual * residual > tol * earlier:
+                lam, u, residual = _dense_top_eigenpair(g)
+                if residual > tol:
+                    raise ConvergenceError(
+                        f"dense eigensolve after {it} power steps left residual "
+                        f"{residual:.3e} above tol={tol}",
+                        residual=residual,
+                        iterations=it,
+                    )
+                break
+            earlier = residual
         v = w + u  # (A + I) u
-        u = v / np.linalg.norm(v)
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} in {max_iter} iterations "
-        f"(last residual {residual:.3e})",
-        residual=residual,
-        iterations=max_iter,
-    )
+        u = v / math.sqrt(v @ v)
+    else:
+        raise ConvergenceError(
+            f"power iteration did not reach tol={tol} in {max_iter} iterations "
+            f"(last residual {residual:.3e})",
+            residual=residual,
+            iterations=max_iter,
+        )
+    if u.sum() < 0.0:
+        u = -u
+    return SpectralResult(eigenvalue=lam, pev=u, iterations=it, residual=residual)
+
+
+def _dense_top_eigenpair(g: Graph) -> tuple[float, np.ndarray, float]:
+    """Top eigenvalue, its eigenvector and their residual, from one dense ``eigh``."""
+    a = g.adjacency_matrix()
+    vals, vecs = np.linalg.eigh(a)
+    lam, u = float(vals[-1]), vecs[:, -1].copy()
+    r = a @ u - lam * u
+    return lam, u, math.sqrt(r @ r)
 
 
 def ipr(v: np.ndarray) -> float:

@@ -126,6 +126,14 @@ class TestPipeline:
         for rel in ("train/targets.csv", "train/graphs/000001.edges"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    def test_generate_paths_at_default_sizes(self, tmp_path, capsys):
+        # Default test sizes (400-500) give paths whose spectral gap is too
+        # small for power iteration alone within the default budget.
+        argv = ["generate", "--out", str(tmp_path), "--families", "path"]
+        code, out, err = run(capsys, argv + ["--train-count", "2", "--test-count", "2"])
+        assert code == 0, err
+        assert json.loads(out)["test"] == 2
+
 
 class TestIngestTu:
     def test_ingest_filters_and_saves(self, tmp_path, capsys):

@@ -316,6 +316,30 @@ class TestSaveLoad:
         loaded, _ = load_dataset(tmp_path / "ds", verify=False)
         assert len(loaded) == 2
 
+    def test_verify_relabels_with_the_spec_tolerance(self, tmp_path):
+        # A loose label_tol stores targets far from the default oracle's; the
+        # verify pass must relabel with the tolerance the manifest records.
+        spec = small_spec(families=("star",), train_count=2, test_count=0, label_tol=1e-4)
+        items, _ = build_synthetic(spec)
+        g = items[0].graph
+        assert abs(items[0].target - ipr(power_iteration(g).pev)) > 1e-9
+        save_dataset(items, tmp_path / "ds", spec=spec)
+        loaded, _ = load_dataset(tmp_path / "ds")
+        assert [it.target for it in loaded] == [it.target for it in items]
+
+    def test_bad_spec_names_the_manifest(self, tmp_path):
+        import json
+
+        spec = small_spec(train_count=2, test_count=0)
+        items, _ = build_synthetic(spec)
+        save_dataset(items, tmp_path / "ds", spec=spec)
+        man = tmp_path / "ds" / "manifest.json"
+        blob = json.loads(man.read_text())
+        blob["spec"]["families"] = ["bogus"]
+        man.write_text(json.dumps(blob))
+        with pytest.raises(DatasetFormatError, match="manifest.json: bad spec"):
+            load_dataset(tmp_path / "ds")
+
     def test_count_mismatch(self, tmp_path):
         items, _ = build_synthetic(small_spec(train_count=3, test_count=0))
         save_dataset(items, tmp_path / "ds")

@@ -46,10 +46,15 @@ class TestScoreHelpers:
         with pytest.raises(ValueError, match="length"):
             attention_scores(np.ones(3), np.ones(3), np.ones(5))
 
+    def test_normalize_uniform(self):
+        np.testing.assert_allclose(softmax(np.zeros(4)), np.full(4, 0.25))
+
     def test_normalize_sums_to_one(self):
-        alpha = softmax(np.array([1.0, -2.0, 0.5]))
-        assert abs(alpha.sum() - 1.0) < 1e-12
-        assert np.all(alpha > 0)
+        rng = np.random.default_rng(4)
+        for s in [np.array([1.0, -2.0, 0.5])] + [rng.normal(size=9) * 10 for _ in range(10)]:
+            alpha = softmax(s)
+            assert abs(alpha.sum() - 1.0) < 1e-12
+            assert np.all(alpha > 0)
 
     def test_normalize_shift_invariant(self):
         s = np.array([0.2, -1.0, 3.0])

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from netloc.graphs import Graph, make_cycle, make_er, make_path, make_star, make_wheel
+from netloc.graphs import (
+    Graph,
+    is_connected,
+    make_cycle,
+    make_er,
+    make_path,
+    make_scale_free,
+    make_star,
+    make_wheel,
+)
 from netloc.spectral import (
     ConvergenceError,
     DynamicsParams,
@@ -64,8 +73,6 @@ class TestPowerIteration:
         while checked < 20:
             n = int(rng.integers(5, 40))
             g = make_er(n, 0.3, seed=int(rng.integers(2**31)))
-            from netloc.graphs import is_connected
-
             if not is_connected(g):
                 continue
             res = power_iteration(g)
@@ -88,6 +95,53 @@ class TestPowerIteration:
         res = power_iteration(Graph(1))
         assert res.eigenvalue == 0.0
         np.testing.assert_allclose(res.pev, [1.0])
+
+
+def connected_er(n, seed):
+    while True:
+        g = make_er(n, 8 / n, seed=seed)
+        if is_connected(g):
+            return g
+        seed += 1000
+
+
+class TestDenseFinish:
+    """Power iteration hands slowly contracting graphs to one dense eigensolve."""
+
+    def test_path_500_reaches_analytic_pair(self):
+        n = 500
+        res = power_iteration(make_path(n))
+        assert abs(ipr(res.pev) - 3 / (2 * (n + 1))) < 1e-12
+        assert abs(res.eigenvalue - 2 * np.cos(np.pi / (n + 1))) < 1e-12
+        assert res.iterations <= 2 * n
+        assert res.residual <= 1e-10
+        assert np.all(res.pev > 0)
+        assert abs(np.linalg.norm(res.pev) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("g", [make_path(60), connected_er(40, 5)], ids=["path", "er"])
+    def test_unreachable_tol_fails_early(self, g):
+        with pytest.raises(ConvergenceError) as err:
+            power_iteration(g, tol=1e-18)
+        assert 2 * g.n <= err.value.iterations <= 3 * g.n
+        assert err.value.residual > 1e-18
+
+    @pytest.mark.parametrize("n", [50, 100, 200, 500])
+    @pytest.mark.parametrize("family", ["cycle", "star", "wheel", "er", "scale_free"])
+    def test_fast_families_never_call_eigh(self, family, n, monkeypatch):
+        makers = {
+            "cycle": make_cycle,
+            "star": make_star,
+            "wheel": make_wheel,
+            "er": lambda n: connected_er(n, n),
+            "scale_free": lambda n: make_scale_free(n, 2, seed=n),
+        }
+        g = makers[family](n)
+
+        def no_eigh(a):
+            raise AssertionError(f"eigh called for {family} n={n}")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        assert power_iteration(g).residual <= 1e-10
 
 
 class TestIpr:
@@ -204,8 +258,6 @@ class TestLabelGraph:
         assert r == Region.STRONGLY_LOCALIZED
 
     def test_er_delocalized(self):
-        from netloc.graphs import is_connected
-
         seed = 0
         while True:
             g = make_er(200, 8 / 200, seed=seed)

@@ -17,7 +17,7 @@ from netloc.kernels import (
     relu_grad,
 )
 
-from oracles import fd_gradient, principal_eigenpair
+from oracles import fd_gradient, principal_eigenpair, softmax
 
 
 class TestMatmul:
@@ -76,6 +76,17 @@ class TestActivations:
     def test_leaky_relu_slope(self):
         np.testing.assert_allclose(leaky_relu(np.array([-1.0, 2.0])), [-0.2, 2.0])
         np.testing.assert_allclose(leaky_relu_grad(np.array([-1.0, 2.0])), [0.2, 1.0])
+
+    def test_softmax_shift_invariant(self):
+        x = np.array([0.3, -1.2, 2.0, 0.0])
+        np.testing.assert_allclose(softmax(x), softmax(x + 100.0), atol=1e-12)
+
+    def test_softmax_sums_to_one(self):
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            s = softmax(rng.normal(size=9) * 10)
+            assert abs(s.sum() - 1.0) < 1e-12
+            assert np.all(s > 0)
 
     def test_mean_pool(self):
         np.testing.assert_array_equal(mean_pool(np.array([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])

@@ -8,6 +8,7 @@ exit 2 (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -43,11 +44,39 @@ def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, default=1e-6, help="threshold margin")
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _read_config(path: str, cls):
+    """``cls.from_dict`` of a JSON config file; every error names the file."""
+    try:
+        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+@contextlib.contextmanager
+def _naming(path: str):
+    """Prefix ``path`` to the message of an error raised while processing its graph."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
 def _cmd_spectral(args) -> int:
     g = read_edgelist(args.edgelist)
-    res = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
-    y = ipr(res.pev)
-    _, region = label_graph(g, _thresholds(args), tol=args.tol, max_iter=args.max_iter)
+    with _naming(args.edgelist):
+        res = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
+        y = ipr(res.pev)
+        _, region = label_graph(g, _thresholds(args), tol=args.tol, max_iter=args.max_iter)
     _emit(
         {
             "n": g.n,
@@ -65,7 +94,8 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_features(args) -> int:
     g = read_edgelist(args.edgelist)
-    h = build_feature_matrix(g)
+    with _naming(args.edgelist):
+        h = build_feature_matrix(g)
     lines = [",".join(FEATURE_COLUMNS)]
     lines.extend(",".join(repr(float(v)) for v in row) for row in h)
     text = "\n".join(lines) + "\n"
@@ -78,10 +108,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    if args.config:
-        spec = data_mod.DatasetSpec.from_dict(json.loads(Path(args.config).read_text(encoding="utf-8")))
-    else:
-        spec = data_mod.DatasetSpec()
+    spec = _read_config(args.config, data_mod.DatasetSpec) if args.config else data_mod.DatasetSpec()
     overrides: dict = {}
     if args.families:
         overrides["families"] = tuple(args.families.split(","))
@@ -125,10 +152,7 @@ def _cmd_ingest_tu(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.config:
-        config = TrainConfig.from_json(args.config)
-    else:
-        config = TrainConfig()
+    config = _read_config(args.config, TrainConfig) if args.config else TrainConfig()
     overrides: dict = {}
     for key in ("model", "loss", "optimizer", "lr", "weight_decay", "epochs", "seed", "dropout"):
         val = getattr(args, key)
@@ -250,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check of model gradients")
     p.add_argument("--model", choices=("gcn", "gat"), default="gcn")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=int, default=5, help="number of consecutive seeds to check")
+    p.add_argument("--seeds", type=_positive_int, default=5, help="number of consecutive seeds to check")
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -2,8 +2,9 @@
 and a reproducible on-disk layout (manifest.json + graphs/*.edges + targets.csv).
 
 Targets are always the IPR of the adjacency principal eigenvector computed by
-the spectral oracle; node features are always recomputed structurally from the
-graph, never read from files.
+the spectral oracle. Datasets carry graphs and targets only: an item's node
+features are derived from its graph the first time a model reads them, never
+stored in or read from files.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -62,24 +64,17 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A graph together with its feature matrix and spectral target."""
+    """A graph together with its spectral target."""
 
     graph: Graph
-    features: np.ndarray
     target: float
     family: str
     seed: int | None = None
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LabeledGraph):
-            return NotImplemented
-        return (
-            self.graph == other.graph
-            and np.array_equal(self.features, other.features)
-            and self.target == other.target
-            and self.family == other.family
-            and self.seed == other.seed
-        )
+    @cached_property
+    def features(self) -> np.ndarray:
+        """Structural node feature matrix, built from the graph on first use."""
+        return build_feature_matrix(self.graph)
 
 
 @dataclass(frozen=True)
@@ -171,15 +166,8 @@ def _build_split(spec: DatasetSpec, count: int, size_range: tuple[int, int], spl
         family = spec.families[idx % len(spec.families)]
         n = int(rng.integers(lo, hi + 1))
         g, inst_seed = _build_instance(family, n, spec, rng)
-        items.append(
-            LabeledGraph(
-                graph=g,
-                features=build_feature_matrix(g),
-                target=label_graph(g, tol=spec.label_tol, max_iter=spec.label_max_iter)[0],
-                family=family,
-                seed=inst_seed,
-            )
-        )
+        target = label_graph(g, tol=spec.label_tol, max_iter=spec.label_max_iter)[0]
+        items.append(LabeledGraph(graph=g, target=target, family=family, seed=inst_seed))
     return items
 
 
@@ -283,10 +271,11 @@ def preprocess(
     label_tol: float = 1e-10,
     label_max_iter: int = 100000,
 ) -> list[LabeledGraph]:
-    """Keep connected graphs with at least ``min_nodes`` nodes, then feature and label them.
+    """Keep connected graphs with at least ``min_nodes`` nodes, then label them.
 
     Accepts raw graphs or already-labeled items (labels are recomputed), so
-    the operation is idempotent.
+    the operation is idempotent. No features are computed here; each item
+    derives them from its graph when a model first reads them.
     """
     kept: list[LabeledGraph] = []
     for item in graphs:
@@ -295,15 +284,8 @@ def preprocess(
         seed = item.seed if isinstance(item, LabeledGraph) else None
         if g.n < min_nodes or not is_connected(g):
             continue
-        kept.append(
-            LabeledGraph(
-                graph=g,
-                features=build_feature_matrix(g),
-                target=label_graph(g, tol=label_tol, max_iter=label_max_iter)[0],
-                family=family,
-                seed=seed,
-            )
-        )
+        target = label_graph(g, tol=label_tol, max_iter=label_max_iter)[0]
+        kept.append(LabeledGraph(graph=g, target=target, family=family, seed=seed))
     return kept
 
 
@@ -348,7 +330,10 @@ def save_dataset(
 
 
 def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[LabeledGraph], dict]:
-    """Read the native layout back; features are recomputed from the graphs.
+    """Read the native layout back as graphs and targets.
+
+    No features are computed here; each item derives them from its graph
+    when a model first reads them.
 
     With ``verify`` on, every 20th stored target is re-derived from the
     spectral oracle, at the ``label_tol`` and ``label_max_iter`` of the
@@ -384,15 +369,7 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
                 f"{directory}/targets.csv:{line_no}: node count {n} disagrees with edge file ({g.n})"
             )
         seed = seeds.get(str(ident))
-        items.append(
-            LabeledGraph(
-                graph=g,
-                features=build_feature_matrix(g),
-                target=target,
-                family=family,
-                seed=int(seed) if seed is not None else None,
-            )
-        )
+        items.append(LabeledGraph(graph=g, target=target, family=family, seed=int(seed) if seed is not None else None))
     if len(items) != manifest.get("count"):
         raise DatasetFormatError(
             f"{directory}: manifest says {manifest.get('count')} items, found {len(items)}"

@@ -96,13 +96,6 @@ class TrainConfig:
             raise ValueError(f"config version {ver!r} unsupported (expected {CONFIG_VERSION})")
         return cls(**d)
 
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TrainConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), sort_keys=True, indent=1) + "\n", encoding="utf-8")
-
 
 @dataclass
 class TrainResult:

@@ -34,6 +34,24 @@ class TestSpectral:
         blob = json.loads(err)
         assert "error" in blob and "type" in blob
 
+    @pytest.mark.parametrize(
+        "text, extra, reason, kind",
+        [
+            ("4 2\n0 1\n2 3\n", [], "power iteration needs a connected graph", "ValueError"),
+            ("3 2\n0 1\n1 2\n", ["--max-iter", "1"], "power iteration did not reach", "ConvergenceError"),
+        ],
+        ids=["disconnected", "max-iter"],
+    )
+    def test_unprocessable_graph_names_the_file(self, tmp_path, capsys, text, extra, reason, kind):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        code, out, err = run(capsys, ["spectral", str(path), *extra])
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["error"].startswith(f"{path}: {reason}")
+        assert blob["error"].count(str(path)) == 1
+        assert blob["type"] == kind
+
 
 class TestFeatures:
     def test_csv_to_stdout(self, tmp_path, capsys):
@@ -52,6 +70,49 @@ class TestFeatures:
         assert code == 0
         assert json.loads(out)["rows"] == 5
         assert out_path.read_text().count("\n") == 6
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("4 2\n0 1\n2 3\n", "closeness centrality needs a connected graph"),
+            ("3 1\n0 1\n", "pagerank needs every node to have degree >= 1"),
+        ],
+        ids=["disconnected", "isolated-node"],
+    )
+    def test_unprocessable_graph_names_the_file(self, tmp_path, capsys, text, reason):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        code, out, err = run(capsys, ["features", str(path)])
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["error"] == f"{path}: {reason}"
+        assert blob["type"] == "ValueError"
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(
+        "command, text, where, reason",
+        [
+            ("generate", '{"famlies": ["cycle"]}', ": ", "'famlies'"),
+            ("generate", '{"seed": 1,\n}', ":2: ", "Expecting property name"),
+            ("generate", '{"train_count": "x"}', ": ", "not supported"),
+            ("train", '{"modle": "gat"}', ": ", "'modle'"),
+            ("train", '{"seed": 1,\n}', ":2: ", "Expecting property name"),
+            ("train", '{"epochs": "x"}', ": ", "not supported"),
+        ],
+        ids=["generate-key", "generate-syntax", "generate-value", "train-key", "train-syntax", "train-value"],
+    )
+    def test_errors_name_the_file(self, tmp_path, capsys, command, text, where, reason):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "data")]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        message = json.loads(err)["error"]
+        assert message.startswith(f"{cfg}{where}")
+        assert reason in message
 
 
 class TestPipeline:
@@ -172,6 +233,13 @@ class TestGradcheck:
         assert code == 0
         blob = json.loads(out)
         assert blob["max_rel_err"] < 1e-4
+
+    @pytest.mark.parametrize("seeds", ["0", "-3"])
+    def test_seeds_below_one_exit_2(self, capsys, seeds):
+        with pytest.raises(SystemExit) as info:
+            main(["gradcheck", "--seeds", seeds])
+        assert info.value.code == 2
+        assert "--seeds" in capsys.readouterr().err
 
 
 class TestUsage:

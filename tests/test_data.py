@@ -13,6 +13,7 @@ from netloc.data import (
     save_dataset,
     split,
 )
+from netloc.features import build_feature_matrix
 from netloc.graphs import Graph, make_er, make_star
 from netloc.spectral import ipr, power_iteration
 
@@ -87,6 +88,12 @@ class TestBuildSynthetic:
     def test_deterministic_families_have_no_seed(self):
         train, _ = build_synthetic(small_spec(train_count=2, test_count=0))
         assert all(it.seed is None for it in train)
+
+    def test_features_derive_from_the_graph(self):
+        train, _ = build_synthetic(small_spec(families=("cycle", "er"), train_count=2, test_count=0))
+        for it in train:
+            np.testing.assert_array_equal(it.features, build_feature_matrix(it.graph))
+            assert it.features is it.features
 
 
 def write_tu_fixture(root, name="TOY", a_lines=None, ind_lines=None):
@@ -215,6 +222,14 @@ class TestSaveLoad:
         assert manifest["count"] == 4
         assert manifest["name"] == "toy"
         assert DatasetSpec.from_dict(manifest["spec"]) == spec
+
+    def test_build_save_load_preprocess_run_no_feature_pass(self, tmp_path, feature_builds):
+        spec = small_spec(families=("cycle", "er"), train_count=4, test_count=2)
+        train, _ = build_synthetic(spec)
+        save_dataset(train, tmp_path / "ds", spec=spec)
+        loaded, _ = load_dataset(tmp_path / "ds", verify=True)
+        preprocess(loaded)
+        assert feature_builds == []
 
     def test_manifest_text_is_pinned(self, tmp_path):
         spec = small_spec(

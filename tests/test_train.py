@@ -45,8 +45,7 @@ class TestTrainConfig:
 
     def test_json_round_trip(self, tmp_path):
         cfg = tiny_config(batch_size=32)
-        cfg.to_json(tmp_path / "cfg.json")
-        assert TrainConfig.from_json(tmp_path / "cfg.json") == cfg
+        assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
     def test_validation(self):
         with pytest.raises(ValueError, match="model"):
@@ -133,6 +132,13 @@ class TestTrainLoop:
                 train(tiny_config(epochs=50, lr=1e30, optimizer="gd", weight_decay=0.0), items)
         assert info.value.epoch >= 1
         assert not np.isfinite(info.value.loss_value)
+
+    def test_train_then_evaluate_build_each_feature_matrix_once(self, feature_builds):
+        items = tiny_items(train_count=4)
+        feature_builds.clear()
+        result = train(tiny_config(epochs=1), items)
+        evaluate(result.model, result.params, items)
+        assert feature_builds == [it.graph for it in items]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):

@@ -329,6 +329,14 @@ def save_dataset(
     (directory / "targets.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def _cell(where: str, name: str, cast, text: str):
+    try:
+        return cast(text)
+    except ValueError:
+        kind = "a number" if cast is float else "an integer"
+        raise DatasetFormatError(f"{where}: {name} must be {kind}, got {text!r}") from None
+
+
 def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[LabeledGraph], dict]:
     """Read the native layout back as graphs and targets.
 
@@ -359,15 +367,16 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
         raise DatasetFormatError(f"{directory}/targets.csv: bad or missing header")
     items: list[LabeledGraph] = []
     for line_no, row in enumerate(rows[1:], start=2):
+        where = f"{directory}/targets.csv:{line_no}"
         parts = row.split(",")
         if len(parts) != 4:
-            raise DatasetFormatError(f"{directory}/targets.csv:{line_no}: expected 4 columns")
-        ident, target, family, n = int(parts[0]), float(parts[1]), parts[2], int(parts[3])
+            raise DatasetFormatError(f"{where}: expected 4 columns")
+        ident = _cell(where, "id", int, parts[0])
+        target = _cell(where, "target", float, parts[1])
+        family, n = parts[2], _cell(where, "node count", int, parts[3])
         g = read_edgelist(directory / "graphs" / f"{ident:06d}.edges")
         if g.n != n:
-            raise DatasetFormatError(
-                f"{directory}/targets.csv:{line_no}: node count {n} disagrees with edge file ({g.n})"
-            )
+            raise DatasetFormatError(f"{where}: node count {n} disagrees with edge file ({g.n})")
         seed = seeds.get(str(ident))
         items.append(LabeledGraph(graph=g, target=target, family=family, seed=int(seed) if seed is not None else None))
     if len(items) != manifest.get("count"):

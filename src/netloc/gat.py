@@ -12,9 +12,13 @@ In train mode, dropout is applied to each layer's input features and to the
 normalized attention weights; eval mode is deterministic.
 
 Neighborhoods are flattened into one directed edge array grouped by target
-node, so softmax and aggregation are numpy segment operations rather than
-per-node loops. Layer 1's heads run stacked as one ``(n, heads, f1)`` tensor
-through the same attention sublayer that layer 2 runs with one head.
+node, so the softmax is a numpy segment operation rather than a per-node loop.
+Aggregation then propagates through the attention matrix, as GCN does through
+its normalized adjacency: the weights are scattered into a dense
+``(heads, n, n)`` matrix P, and ``P @ Wh`` is one batched matmul per layer, at
+O(heads * n^2 * f) per graph. Layer 1's heads run stacked as one
+``(n, heads, f1)`` tensor through the same attention sublayer that layer 2
+runs with one head.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ class GatInputs:
     """Flattened self-looped neighborhoods of one graph.
 
     ``tgt``/``nbr`` list every directed pair (i attends to j) grouped by i,
-    ``starts`` holds each node's segment start, and ``tperm`` permutes edge
-    values into nbr-grouped order (the transpose), which turns scatter-adds
-    into contiguous segment sums.
+    and ``starts`` holds each node's segment start. The segment softmax and
+    the attention dropout run over these pairs; the weights are then
+    scattered to ``P[:, tgt, nbr]`` of a dense ``(heads, n, n)`` attention
+    matrix, so aggregation costs O(heads * n^2 * f) whatever the edge count.
     """
 
     n: int
@@ -47,7 +52,14 @@ class GatInputs:
     tgt: np.ndarray
     nbr: np.ndarray
     starts: np.ndarray
-    tperm: np.ndarray
+
+
+def _scatter(values: np.ndarray, inputs: GatInputs) -> np.ndarray:
+    """Edge values ``(E, heads)`` as a dense ``(heads, n, n)`` matrix at ``(tgt, nbr)``."""
+    p = np.zeros((values.shape[1], inputs.n, inputs.n))
+    # The pairs are unique, so assignment needs no accumulation.
+    p[:, inputs.tgt, inputs.nbr] = values.T
+    return p
 
 
 @dataclass
@@ -150,17 +162,7 @@ class GAT(GraphRegressor):
         tgt = np.concatenate([np.repeat(node, np.diff(indptr)), node])
         nbr = np.concatenate([indices, node])
         order = np.lexsort((nbr, tgt))
-        tgt, nbr = tgt[order], nbr[order]
-        # The pair set is symmetric, so the edge order by (neighbor, target)
-        # lists, for each pair, the position of its reverse.
-        return GatInputs(
-            n=n,
-            h0=h0,
-            tgt=tgt,
-            nbr=nbr,
-            starts=indptr[:-1] + node,
-            tperm=np.lexsort((tgt, nbr)),
-        )
+        return GatInputs(n=n, h0=h0, tgt=tgt[order], nbr=nbr[order], starts=indptr[:-1] + node)
 
     def _attend(self, wh, a, inputs: GatInputs, train: bool, rng, keep: float) -> AttnCache:
         """Attention sublayer over ``wh`` of shape (n, heads, f), ``a`` of shape (heads, 2f)."""
@@ -180,31 +182,27 @@ class GAT(GraphRegressor):
         else:
             amask = None
             alpha_used = alpha
-        # Scaled in place, so one (E, heads, f) temporary is live, not two.
-        msg = wh[inputs.nbr]
-        msg *= alpha_used[:, :, None]
-        s = np.add.reduceat(msg, inputs.starts)
+        s = np.matmul(_scatter(alpha_used, inputs), wh.transpose(1, 0, 2)).transpose(1, 0, 2)
         return AttnCache(wh=wh, pre=pre, alpha=alpha, amask=amask, s=s)
 
     def _attend_backward(self, cache: AttnCache, a, ds, inputs: GatInputs, keep: float):
         """Gradients of one attention sublayer: returns (d_wh, d_a)."""
-        tgt, nbr, starts, tperm = inputs.tgt, inputs.nbr, inputs.starts, inputs.tperm
-        dalpha_used = np.einsum("ehf,ehf->eh", ds[tgt], cache.wh[nbr])
+        tgt, nbr, starts = inputs.tgt, inputs.nbr, inputs.starts
+        # S = P @ Wh per head, so dP = dS @ Wh^T read at the pairs and dWh = P^T @ dS.
+        ds_h = ds.transpose(1, 0, 2)
+        dalpha_used = np.matmul(ds_h, cache.wh.transpose(1, 2, 0))[:, tgt, nbr].T
         if cache.amask is not None:
             alpha_used = cache.alpha * cache.amask / keep
             dalpha = dalpha_used * cache.amask / keep
         else:
             alpha_used, dalpha = cache.alpha, dalpha_used
-        # Pair q's reverse sits at tperm[q] and has target nbr[q].
-        msg = ds[nbr]
-        msg *= alpha_used[tperm][:, :, None]
-        dwh = np.add.reduceat(msg, starts)
+        dwh = np.matmul(_scatter(alpha_used, inputs).transpose(0, 2, 1), ds_h).transpose(1, 0, 2)
         # Softmax Jacobian per neighborhood: de = alpha * (dalpha - <alpha, dalpha>).
         seg_dot = np.add.reduceat(cache.alpha * dalpha, starts)
         de = cache.alpha * (dalpha - seg_dot[tgt])
-        dpre = de * leaky_relu_grad(cache.pre, LEAKY_SLOPE)
-        du = np.add.reduceat(dpre, starts)
-        dv = np.add.reduceat(dpre[tperm], starts)
+        dpre = _scatter(de * leaky_relu_grad(cache.pre, LEAKY_SLOPE), inputs)
+        # pre = u[tgt] + v[nbr]: u collects the rows of dpre, v its columns.
+        du, dv = dpre.sum(axis=2).T, dpre.sum(axis=1).T
         f = cache.wh.shape[2]
         da = np.concatenate([np.einsum("nhf,nh->hf", cache.wh, d) for d in (du, dv)], axis=1)
         dwh = dwh + du[:, :, None] * a[:, :f] + dv[:, :, None] * a[:, f:]

@@ -57,15 +57,6 @@ class Graph:
         return len(self.edges)
 
     @cached_property
-    def neighbors(self) -> tuple[tuple[int, ...], ...]:
-        """Sorted adjacency lists, one tuple per node."""
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(sorted(a)) for a in adj)
-
-    @cached_property
     def csr(self) -> tuple[np.ndarray, np.ndarray]:
         """Adjacency as int64 CSR arrays ``(indptr, indices)``.
 
@@ -178,11 +169,11 @@ def is_connected(g: Graph) -> bool:
     seen[0] = 1
     queue = [0]
     count = 1
-    adj = g.neighbors
+    indptr, indices = (a.tolist() for a in g.csr)
     while queue:
         nxt: list[int] = []
         for u in queue:
-            for v in adj[u]:
+            for v in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[v]:
                     seen[v] = 1
                     count += 1

@@ -63,7 +63,9 @@ class GraphRegressor:
         """Loss and summed parameter gradients over one batch.
 
         Gradients are accumulated in batch order, so the result is
-        deterministic for a fixed batch ordering.
+        deterministic for a fixed batch ordering. The loss is elementwise, so
+        each graph's backward runs right after its forward and frees its
+        activations; backward draws no random numbers.
         """
         targets = np.asarray(targets, dtype=np.float64)
         if len(inputs_list) == 0:
@@ -73,19 +75,14 @@ class GraphRegressor:
                 f"batch size mismatch: {len(inputs_list)} graphs, {targets.shape} targets"
             )
         preds = np.empty(len(inputs_list))
-        acts_list = []
-        for k, inp in enumerate(inputs_list):
-            yhat, acts = self.forward(params, inp, train=train, rng=rng)
-            preds[k] = yhat
-            acts_list.append(acts)
-        batch_loss = loss(preds, targets, kind)
-        dy = loss_grad(preds, targets, kind)
         grads = {name: np.zeros_like(params[name]) for name in self.param_names}
-        for k, acts in enumerate(acts_list):
-            g = self.backward(params, acts, float(dy[k]))
+        for k, inp in enumerate(inputs_list):
+            preds[k], acts = self.forward(params, inp, train=train, rng=rng)
+            dy = loss_grad(preds[k : k + 1], targets[k : k + 1], kind)[0] / len(inputs_list)
+            g = self.backward(params, acts, float(dy))
             for name in self.param_names:
                 grads[name] += g[name]
-        return batch_loss, grads
+        return loss(preds, targets, kind), grads
 
 
 def save_checkpoint(path: str | Path, model: GraphRegressor, params: dict, config: dict | None = None) -> None:

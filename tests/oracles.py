@@ -56,6 +56,15 @@ def principal_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[-1]), vec
 
 
+def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:
+    """Sorted neighbour tuples, one per node, built from ``g.edges``."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for i, j in g.edges:
+        adj[i].append(j)
+        adj[j].append(i)
+    return tuple(tuple(sorted(a)) for a in adj)
+
+
 def all_pairs_shortest_paths(adj: list[tuple[int, ...]]) -> dict[tuple[int, int], list[list[int]]]:
     """Every shortest path between every ordered pair, by BFS layering + DFS."""
     n = len(adj)
@@ -172,24 +181,21 @@ def attention_scores(wh_i: np.ndarray, wh_j: np.ndarray, a: np.ndarray, slope: f
     return np.where(x > 0.0, x, slope * x)
 
 
-def attention_neighborhoods(adj: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """GAT edge arrays (tgt, nbr, starts, tperm) by a per-node loop.
+def attention_neighborhoods(adj: list[tuple[int, ...]]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """GAT edge arrays (tgt, nbr, starts) by a per-node loop.
 
     Every node attends to its sorted neighborhood plus itself; pairs are
-    grouped by target, and tperm[q] is the position of the reverse of pair q.
+    grouped by target.
     """
     tgt: list[int] = []
     nbr: list[int] = []
     starts: list[int] = []
-    pos: dict[tuple[int, int], int] = {}
     for i, hood in enumerate(adj):
         starts.append(len(tgt))
         for j in sorted(hood + (i,)):
-            pos[(i, j)] = len(tgt)
             tgt.append(i)
             nbr.append(j)
-    tperm = [pos[(j, i)] for i, j in zip(tgt, nbr)]
-    return tuple(np.array(x, dtype=np.int64) for x in (tgt, nbr, starts, tperm))
+    return tuple(np.array(x, dtype=np.int64) for x in (tgt, nbr, starts))
 
 
 def ipr_direct(v: np.ndarray) -> float:

@@ -317,6 +317,23 @@ class TestSaveLoad:
         with pytest.raises(DatasetFormatError, match="header"):
             load_dataset(tmp_path / "ds")
 
+    @pytest.mark.parametrize(
+        "column,value,reason",
+        [(0, "x", "id"), (1, "abc", "target"), (3, "1.5", "node count")],
+        ids=["id", "target", "n"],
+    )
+    def test_malformed_cell_names_file_and_line(self, tmp_path, column, value, reason):
+        items, _ = build_synthetic(small_spec(train_count=3, test_count=0))
+        save_dataset(items, tmp_path / "ds")
+        csv = tmp_path / "ds" / "targets.csv"
+        rows = csv.read_text().splitlines()
+        parts = rows[2].split(",")
+        parts[column] = value
+        rows[2] = ",".join(parts)
+        csv.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DatasetFormatError, match=rf"ds/targets\.csv:3: {reason} .*{value!r}"):
+            load_dataset(tmp_path / "ds")
+
     def test_tampered_target_caught_by_verify(self, tmp_path):
         items, _ = build_synthetic(small_spec(train_count=2, test_count=0))
         save_dataset(items, tmp_path / "ds")

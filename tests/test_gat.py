@@ -5,7 +5,11 @@ from netloc.gat import GAT
 from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
 from netloc.kernels import MSE, loss
 
-from oracles import attention_neighborhoods, attention_scores, fd_gradient, softmax
+from oracles import adjacency_lists, attention_neighborhoods, attention_scores, fd_gradient, softmax
+
+
+N1 = Graph(1)
+DISCONNECTED = Graph(6, ((0, 1), (0, 2), (3, 5)))
 
 
 def connected_er(n, p, seed):
@@ -73,15 +77,15 @@ class TestPrepare:
             make_wheel(8),
             make_er(30, 0.2, seed=4),
             make_scale_free(25, 2, seed=3),
-            Graph(1),
-            Graph(6, ((0, 1), (0, 2), (3, 5))),
+            N1,
+            DISCONNECTED,
         ],
         ids=["cycle", "path", "star", "wheel", "er", "scale_free", "n1", "disconnected"],
     )
     def test_edge_arrays_match_per_node_loop(self, g):
         inputs = GAT(d=7).prepare(g, np.zeros((g.n, 7)))
-        expected = attention_neighborhoods(g.neighbors)
-        for name, want in zip(("tgt", "nbr", "starts", "tperm"), expected):
+        expected = attention_neighborhoods(adjacency_lists(g))
+        for name, want in zip(("tgt", "nbr", "starts"), expected):
             got = getattr(inputs, name)
             assert got.dtype == want.dtype, name
             np.testing.assert_array_equal(got, want, err_msg=name)
@@ -102,11 +106,13 @@ class TestForward:
         np.testing.assert_array_equal(acts.layer2.alpha, [[1.0]])
 
     def test_alpha_matches_scalar_helpers(self):
-        # The stacked segment softmax must agree, head by head, with an
-        # explicit per-node loop over the reference scores.
+        # The stacked segment softmax and the dense aggregation must agree,
+        # head by head, with an explicit per-node loop over the reference
+        # scores: s_i = sum_j alpha_ij Wh_j.
         model = GAT(d=7, heads=2, f1=3, f2=4, dropout=0.6)
         params = model.init_params(5)
         g = connected_er(9, 0.35, seed=2)
+        adj = adjacency_lists(g)
         feats = np.random.default_rng(1).uniform(size=(9, 7))
         inputs = model.prepare(g, feats)
         _, acts = model.forward(params, inputs)
@@ -116,11 +122,13 @@ class TestForward:
             a = params[f"a1h{h}"]
             np.testing.assert_allclose(acts.heads.wh[:, h], wh, atol=1e-12)
             for i in range(g.n):
-                hood = sorted(g.neighbors[i] + (i,))
+                hood = sorted(adj[i] + (i,))
                 scores = attention_scores(np.tile(wh[i], (len(hood), 1)), wh[list(hood)], a)
                 expected = softmax(scores)
                 got = segment(acts.heads.alpha[:, h], inputs.starts, i, len(inputs.tgt))
                 np.testing.assert_allclose(got, expected, atol=1e-12)
+                s_i = sum(alpha * wh[j] for alpha, j in zip(expected, hood))
+                np.testing.assert_allclose(acts.heads.s[i, h], s_i, atol=1e-12)
 
     def test_alpha_segments_sum_to_one(self):
         model = GAT(d=7, heads=3, f1=4, f2=5, dropout=0.6)
@@ -210,6 +218,12 @@ class TestGradients:
         model = GAT(d=7, heads=2, f1=3, f2=4, dropout=0.6)
         params = model.init_params(21)
         inputs, targets = self.build_batch(model, seed=3)
+        # A single node and a disconnected graph have one-pair and isolated
+        # softmax segments; their gradients go through the same operator.
+        rng = np.random.default_rng(4)
+        for g in (N1, DISCONNECTED):
+            inputs.append(model.prepare(g, rng.uniform(size=(g.n, model.d))))
+        targets = np.append(targets, [0.3, 0.2])
         _, grads = model.batch_step(params, inputs, targets, MSE)
 
         for name in model.param_names:

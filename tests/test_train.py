@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from netloc.data import DatasetSpec, build_synthetic
+from netloc.gat import GAT
 from netloc.gcn import GCN
 from netloc.models import load_checkpoint
 from netloc.spectral import RegionThresholds
@@ -143,6 +145,26 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             train(tiny_config(), [])
+
+    def test_batch_step_peak_memory_is_that_of_one_graph(self):
+        # Each graph's backward runs right after its forward, so a batch
+        # holds one graph's activations at a time, not the whole batch's.
+        items = tiny_items(train_count=50, families=("er", "scale_free"), size_range=(30, 40))
+        model = GAT()
+        params = model.init_params(0)
+        inputs = [model.prepare(it.graph, it.features) for it in items]
+        targets = np.array([it.target for it in items])
+
+        def peak(batch, ys):
+            tracemalloc.start()
+            try:
+                model.batch_step(params, batch, ys, train=True, rng=np.random.default_rng(1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        k = int(np.argmax([inp.n for inp in inputs]))
+        assert peak(inputs, targets) <= 2 * peak(inputs[k : k + 1], targets[k : k + 1])
 
 
 def constant_predictor(value):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import typing
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
@@ -123,14 +124,32 @@ class DatasetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DatasetSpec":
-        d = dict(d)
-        for key in ("families",):
-            if key in d:
-                d[key] = tuple(d[key])
-        for key in ("train_size_range", "test_size_range"):
-            if key in d:
-                d[key] = (int(d[key][0]), int(d[key][1]))
-        return cls(**d)
+        return cls(**checked_fields(cls, d))
+
+
+def checked_fields(cls, d: dict) -> dict:
+    """``d`` with each value checked against its field's annotation in ``cls``.
+
+    Lists become tuples, ints pass as floats, and unknown keys are left for
+    ``cls`` to reject. Errors read ``key: expected int, got str``.
+    """
+    hints = typing.get_type_hints(cls)
+    return {key: _checked(key, v, hints[key]) if key in hints else v for key, v in d.items()}
+
+
+def _checked(key: str, value, hint):
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is tuple and isinstance(value, (list, tuple)):
+        items = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        if len(value) != len(items):
+            raise ValueError(f"{key}: expected {len(items)} items, got {len(value)}")
+        return tuple(_checked(key, v, t) for v, t in zip(value, items))
+    allowed = args or (hint,)
+    if float in allowed:
+        allowed += (int,)
+    if origin is not tuple and isinstance(value, allowed) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"{key}: expected {str(hint) if args else hint.__name__}, got {type(value).__name__}")
 
 
 def _build_instance(family: str, n: int, spec: DatasetSpec, rng: np.random.Generator) -> tuple[Graph, int | None]:

@@ -3,6 +3,11 @@
 Column order is frozen by ``FEATURE_COLUMNS``; every column is min-max scaled
 to [0, 1] per graph (constant columns become all zeros) so feature magnitudes
 are comparable across graph sizes.
+
+Every column reads the cached CSR arrays of :class:`Graph`; none builds an
+n x n matrix. Degree columns are O(n), average neighbor degree O(m), PageRank
+O(m) per iteration, clustering O(m^1.5), and betweenness with closeness one
+fused O(n m) BFS pass. Working memory is O(m) plus ``_BLOCK_PAIRS`` blocks.
 """
 
 from __future__ import annotations
@@ -34,13 +39,46 @@ FEATURE_COLUMNS = (
 )
 
 
+# The BFS pass sweeps sources in blocks of at most this many (source, node)
+# pairs, and clustering checks candidate triangles in blocks of about as many.
+# That bounds working memory (about 50 MB at mean degree 8) for any n; graphs
+# of up to 512 nodes take a single BFS block.
+_BLOCK_PAIRS = 1 << 18
+
+
 def clustering_coefficient(g: Graph) -> np.ndarray:
-    """Fraction of closed neighbor pairs per node; 0 for degree < 2."""
-    a = g.adjacency_matrix()
-    triangles = ((a @ a) * a).sum(axis=1) / 2.0
+    """Fraction of closed neighbor pairs per node; 0 for degree < 2.
+
+    Triangles come from the degree-ordered edge iterator (Chiba & Nishizeki
+    1985; Schank & Wagner 2005): with edges pointing up the (degree, id) rank,
+    each triangle is the one pair w < x of out(u) with an edge w -> x. Out-degrees
+    are at most sqrt(2m), so this is O(m^1.5) time and O(m) memory; integer
+    counts make it exact.
+    """
+    n, (_, indices), rows = g.n, g.csr, g.csr_rows
+    rank = np.empty(n, dtype=np.int64)
+    rank[np.lexsort((np.arange(n), g.degrees))] = np.arange(n)
+    # Oriented edges u -> w between ranks, as sorted keys u*n + w: out(u) is one ascending run.
+    keys = np.sort((rank[rows] * n + rank[indices])[rank[rows] < rank[indices]])
+    u, w = np.divmod(keys, n)
+    outdeg = np.bincount(u, minlength=n)
+    stop = np.cumsum(outdeg)
+    by_rank = np.zeros(n)
+    width = max(1, _BLOCK_PAIRS // max(1, int(outdeg.max())))
+    for lo in range(0, keys.size, width):
+        # Edge p = u -> w pairs with each later x of out(u), so w < x.
+        e = np.arange(lo, min(lo + width, keys.size))
+        counts = stop[u[e]] - e - 1
+        p = np.repeat(e, counts)
+        ends = np.cumsum(counts)
+        x = w[p + 1 + np.arange(ends[-1]) - (ends - counts)[p - lo]]
+        q = w[p] * n + x
+        hit = keys[np.minimum(np.searchsorted(keys, q), keys.size - 1)] == q
+        by_rank += np.bincount(np.concatenate([u[p[hit]], w[p[hit]], x[hit]]), minlength=n)
+    triangles = by_rank[rank]
     deg = g.degrees.astype(np.float64)
     pairs = deg * (deg - 1.0) / 2.0
-    out = np.zeros(g.n)
+    out = np.zeros(n)
     mask = pairs > 0.0
     out[mask] = triangles[mask] / pairs[mask]
     return out
@@ -50,7 +88,8 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int 
     """Damped random-walk stationary scores; entries sum to 1.
 
     Iterates p <- (1-d)/n + d * A (p / deg) until the L1 change is at most
-    ``tol``. Needs every node to have at least one neighbor (or n == 1).
+    ``tol``, one O(m) sum over the CSR rows per step. Needs every node to have
+    at least one neighbor (or n == 1).
     """
     if not (0.0 < damping < 1.0):
         raise ValueError(f"damping must lie in (0,1), got {damping}")
@@ -59,11 +98,11 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int 
     deg = g.degrees.astype(np.float64)
     if np.any(deg == 0):
         raise ValueError("pagerank needs every node to have degree >= 1")
-    a = g.adjacency_matrix()
+    _, indices = g.csr
     p = np.full(g.n, 1.0 / g.n)
     teleport = (1.0 - damping) / g.n
     for _ in range(max_iter):
-        p_new = teleport + damping * (a @ (p / deg))
+        p_new = teleport + damping * np.bincount(g.csr_rows, weights=(p / deg)[indices], minlength=g.n)
         if float(np.abs(p_new - p).sum()) <= tol:
             return p_new
         p = p_new
@@ -75,16 +114,10 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int 
 
 
 def degree_centrality(g: Graph) -> np.ndarray:
-    """Degree divided by n-1 (zeros for the single-node graph)."""
+    """Degree divided by n-1 (zeros for the single-node graph); O(n)."""
     if g.n == 1:
         return np.zeros(1)
     return g.degrees.astype(np.float64) / (g.n - 1)
-
-
-# Sources are swept in blocks of at most this many (source, node) pairs. That
-# bounds the pass's working memory (about 50 MB at mean degree 8) for any n,
-# and graphs of up to 512 nodes take a single block.
-_BLOCK_PAIRS = 1 << 18
 
 
 def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:
@@ -171,7 +204,7 @@ def _closeness(totals: np.ndarray) -> np.ndarray:
 
 
 def betweenness_centrality(g: Graph) -> np.ndarray:
-    """Shortest-path betweenness via Brandes' accumulation, pair-normalized.
+    """Shortest-path betweenness via Brandes' accumulation, pair-normalized; O(n m).
 
     Unreachable pairs contribute nothing, so disconnected graphs are allowed.
     """
@@ -179,17 +212,16 @@ def betweenness_centrality(g: Graph) -> np.ndarray:
 
 
 def closeness_centrality(g: Graph) -> np.ndarray:
-    """(n-1) over the sum of BFS distances to all other nodes."""
+    """(n-1) over the sum of BFS distances to all other nodes; O(n m)."""
     return _closeness(_shortest_paths(g)[1])
 
 
 def avg_neighbor_degree(g: Graph) -> np.ndarray:
-    """Mean degree over each node's neighbors (0 for isolated nodes)."""
+    """Mean degree over each node's neighbors (0 for isolated nodes); O(m)."""
     deg = g.degrees.astype(np.float64)
-    a = g.adjacency_matrix()
     out = np.zeros(g.n)
     mask = deg > 0
-    out[mask] = (a @ deg)[mask] / deg[mask]
+    out[mask] = np.bincount(g.csr_rows, weights=deg[g.csr[1]], minlength=g.n)[mask] / deg[mask]
     return out
 
 

@@ -159,7 +159,7 @@ class GAT(GraphRegressor):
         indptr, indices = graph.csr
         node = np.arange(n)
         # Insert the self loops, then order the pairs by (target, neighbor).
-        tgt = np.concatenate([np.repeat(node, np.diff(indptr)), node])
+        tgt = np.concatenate([graph.csr_rows, node])
         nbr = np.concatenate([indices, node])
         order = np.lexsort((nbr, tgt))
         return GatInputs(n=n, h0=h0, tgt=tgt[order], nbr=nbr[order], starts=indptr[:-1] + node)

@@ -71,6 +71,11 @@ class Graph:
         return indptr, indices
 
     @cached_property
+    def csr_rows(self) -> np.ndarray:
+        """Row of each entry of ``csr[1]``, so ``(csr_rows, csr[1])`` lists every directed edge."""
+        return np.repeat(np.arange(self.n), self.degrees)
+
+    @cached_property
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr[0])
 

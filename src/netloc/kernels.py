@@ -123,11 +123,14 @@ def loss(pred: np.ndarray, target: np.ndarray, kind: LossKind = MSE) -> float:
 def loss_grad(pred: np.ndarray, target: np.ndarray, kind: LossKind = MSE) -> np.ndarray:
     """Gradient of :func:`loss` with respect to each prediction: (2/N) terms."""
     pred, target = _check_pair(pred, target)
-    n = pred.shape[0]
+    return _loss_grad(pred, target, kind, 2.0 / pred.shape[0])
+
+
+def _loss_grad(pred, target, kind: LossKind, scale: float):
+    """``scale * diff * d(diff)/d(pred)`` elementwise, unchecked. Numpy float64
+    scalars take the same ufuncs as arrays, so they round as in :func:`loss_grad`."""
     if kind.kind == "mse":
-        return (2.0 / n) * (pred - target)
+        return scale * (pred - target)
     clamped = np.maximum(pred, kind.log_floor)
     diff = np.log(clamped) - np.log(np.maximum(target, kind.log_floor))
-    grad = (2.0 / n) * diff / clamped
-    grad[pred < kind.log_floor] = 0.0
-    return grad
+    return np.where(pred < kind.log_floor, 0.0, scale * diff / clamped)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import MSE, LossKind, loss, loss_grad
+from .kernels import MSE, LossKind, _loss_grad, loss
 
 __all__ = ["GraphRegressor", "save_checkpoint", "load_checkpoint"]
 
@@ -78,7 +78,7 @@ class GraphRegressor:
         grads = {name: np.zeros_like(params[name]) for name in self.param_names}
         for k, inp in enumerate(inputs_list):
             preds[k], acts = self.forward(params, inp, train=train, rng=rng)
-            dy = loss_grad(preds[k : k + 1], targets[k : k + 1], kind)[0] / len(inputs_list)
+            dy = _loss_grad(preds[k], targets[k], kind, 2.0) / len(inputs_list)
             g = self.backward(params, acts, float(dy))
             for name in self.param_names:
                 grads[name] += g[name]

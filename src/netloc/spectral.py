@@ -115,7 +115,7 @@ def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
         raise ValueError("power iteration needs a connected graph")
     n = g.n
     _, indices = g.csr
-    rows = np.repeat(np.arange(n), g.degrees)
+    rows = g.csr_rows
     u = np.full(n, 1.0 / np.sqrt(n))
     earlier = np.inf
     for it in range(1, max_iter + 1):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledGraph
+from .data import LabeledGraph, checked_fields
 from .gat import GAT
 from .gcn import GCN
 from .graphs import is_connected, make_er
@@ -94,7 +94,7 @@ class TrainConfig:
             raise ValueError(f"config format {fmt!r} is not {CONFIG_FORMAT!r}")
         if ver != CONFIG_VERSION:
             raise ValueError(f"config version {ver!r} unsupported (expected {CONFIG_VERSION})")
-        return cls(**d)
+        return cls(**checked_fields(cls, d))
 
 
 @dataclass

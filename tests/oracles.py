@@ -2,7 +2,8 @@
 
 Each routine here is deliberately a different algorithm from the one in the
 package (Jacobi rotations vs power iteration, path enumeration vs Brandes,
-linear solve vs fixed-point iteration, per-node loops vs segment operations),
+linear solve vs fixed-point iteration, per-node loops vs segment operations,
+dense matrix products vs CSR edge arrays),
 so agreement is meaningful.
 """
 
@@ -159,6 +160,38 @@ def pagerank_by_solve(adj_matrix: np.ndarray, damping: float = 0.85) -> np.ndarr
     m = adj_matrix / deg[None, :]
     p = np.linalg.solve(np.eye(n) - damping * m, np.full(n, (1.0 - damping) / n))
     return p
+
+
+def clustering_dense(a: np.ndarray) -> np.ndarray:
+    """Clustering coefficient from the dense adjacency: triangles are diag(A^3)/2."""
+    triangles = ((a @ a) * a).sum(axis=1) / 2.0
+    deg = a.sum(axis=1)
+    pairs = deg * (deg - 1.0) / 2.0
+    out = np.zeros(a.shape[0])
+    mask = pairs > 0.0
+    out[mask] = triangles[mask] / pairs[mask]
+    return out
+
+
+def pagerank_dense(a: np.ndarray, damping: float = 0.85, tol: float = 1e-10) -> np.ndarray:
+    """PageRank by the fixed-point iteration p <- (1-d)/n + d A (p / deg) with dense matvecs."""
+    n = a.shape[0]
+    deg = a.sum(axis=1)
+    p = np.full(n, 1.0 / n)
+    while True:
+        p_new = (1.0 - damping) / n + damping * (a @ (p / deg))
+        if float(np.abs(p_new - p).sum()) <= tol:
+            return p_new
+        p = p_new
+
+
+def avg_neighbor_degree_dense(a: np.ndarray) -> np.ndarray:
+    """Mean neighbor degree (A deg) / deg from the dense adjacency; 0 for isolated nodes."""
+    deg = a.sum(axis=1)
+    out = np.zeros(a.shape[0])
+    mask = deg > 0
+    out[mask] = (a @ deg)[mask] / deg[mask]
+    return out
 
 
 def softmax(x: np.ndarray) -> np.ndarray:

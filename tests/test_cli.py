@@ -95,12 +95,26 @@ class TestConfigFile:
         [
             ("generate", '{"famlies": ["cycle"]}', ": ", "'famlies'"),
             ("generate", '{"seed": 1,\n}', ":2: ", "Expecting property name"),
-            ("generate", '{"train_count": "x"}', ": ", "not supported"),
+            ("generate", '{"train_count": "x"}', ": ", "train_count: expected int, got str"),
             ("train", '{"modle": "gat"}', ": ", "'modle'"),
             ("train", '{"seed": 1,\n}', ":2: ", "Expecting property name"),
-            ("train", '{"epochs": "x"}', ": ", "not supported"),
+            ("train", '{"epochs": "x"}', ": ", "epochs: expected int, got str"),
+            ("generate", '{"er_mean_degree": "8"}', ": ", "er_mean_degree: expected float, got str"),
+            ("generate", '{"families": "cycle"}', ": ", "families: expected tuple[str, ...], got str"),
+            ("generate", '{"families": ["cycle", 3]}', ": ", "families: expected str, got int"),
+            ("generate", '{"train_size_range": [10, "x"]}', ": ", "train_size_range: expected int, got str"),
+            ("generate", '{"test_size_range": [10]}', ": ", "test_size_range: expected 2 items, got 1"),
+            ("train", '{"lr": "x"}', ": ", "lr: expected float, got str"),
+            ("train", '{"epochs": 2.5}', ": ", "epochs: expected int, got float"),
+            ("train", '{"seed": true}', ": ", "seed: expected int, got bool"),
+            ("train", '{"model": 3}', ": ", "model: expected str, got int"),
+            ("train", '{"batch_size": "x"}', ": ", "batch_size: expected int | None, got str"),
         ],
-        ids=["generate-key", "generate-syntax", "generate-value", "train-key", "train-syntax", "train-value"],
+        ids=[
+            "generate-key", "generate-syntax", "generate-value", "train-key", "train-syntax", "train-value",
+            "generate-float", "generate-tuple", "generate-tuple-item", "generate-range-item", "generate-range-length",
+            "train-float", "train-int", "train-bool", "train-str", "train-optional",
+        ],
     )
     def test_errors_name_the_file(self, tmp_path, capsys, command, text, where, reason):
         cfg = tmp_path / "cfg.json"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,13 @@ from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free
 
 from oracles import (
     adjacency_lists,
+    avg_neighbor_degree_dense,
     betweenness_by_enumeration,
     closeness_by_bfs,
     clustering_by_enumeration,
+    clustering_dense,
     pagerank_by_solve,
+    pagerank_dense,
 )
 
 
@@ -38,15 +43,28 @@ def random_connected(n, p, seed):
 
 
 def six_families(n, seed=0):
-    """One graph of each family DatasetSpec knows, all on n nodes."""
-    return {
+    """One graph of each family DatasetSpec knows, all on n nodes (no wheel below 4)."""
+    graphs = {
         "cycle": make_cycle(n),
         "path": make_path(n),
         "star": make_star(n),
-        "wheel": make_wheel(n),
         "er": random_connected(n, min(1.0, 4.0 / n), seed),
         "scale_free": make_scale_free(n, 2, seed=seed),
     }
+    if n >= 4:
+        graphs["wheel"] = make_wheel(n)
+    return graphs
+
+
+def csr_column_graphs():
+    """Every family at n = 3..60, plus the shapes the CSR columns must not trip on."""
+    graphs = [g for n in range(3, 61) for g in six_families(n, seed=n).values()]
+    return graphs + [
+        complete_graph(9),
+        Graph(1),
+        Graph(5),
+        Graph(8, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6))),
+    ]
 
 
 class TestClustering:
@@ -207,6 +225,53 @@ class TestAvgNeighborDegree:
 
     def test_regular_graph_constant(self):
         np.testing.assert_array_equal(avg_neighbor_degree(make_cycle(9)), np.full(9, 2.0))
+
+
+class TestCsrColumns:
+    """The CSR columns against their dense-matrix forms, and what they allocate."""
+
+    def test_clustering_and_neighbor_degree_bit_equal_dense(self):
+        for g in csr_column_graphs():
+            a = g.adjacency_matrix()
+            np.testing.assert_array_equal(clustering_coefficient(g), clustering_dense(a))
+            np.testing.assert_array_equal(avg_neighbor_degree(g), avg_neighbor_degree_dense(a))
+
+    def test_clustering_blocks_match_dense(self, monkeypatch):
+        graphs = list(six_families(60, seed=4).values()) + [complete_graph(12)]
+        # One candidate edge per block, then blocks of a few edges each.
+        for budget in (1, 50):
+            monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
+            for g in graphs:
+                np.testing.assert_array_equal(clustering_coefficient(g), clustering_dense(g.adjacency_matrix()))
+
+    def test_pagerank_matches_dense_iteration(self):
+        # Only the summation order differs from the dense matvec.
+        for g in csr_column_graphs():
+            if g.n > 1 and g.degrees.min() > 0:
+                np.testing.assert_allclose(pagerank(g), pagerank_dense(g.adjacency_matrix()), rtol=4e-15, atol=0.0)
+
+    def test_feature_pass_builds_no_dense_adjacency(self, monkeypatch):
+        graphs = [g for n in (4, 60) for g in six_families(n, seed=n).values()]
+
+        def refuse(self):
+            raise AssertionError("the feature pass built a dense adjacency")
+
+        monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+        for g in graphs:
+            assert build_feature_matrix(g).shape == (g.n, len(FEATURE_COLUMNS))
+
+    def test_csr_columns_stay_small_at_n3000(self):
+        # A dense n x n float64 adjacency alone would take 72 MB here.
+        g = make_scale_free(3000, 2, seed=1)
+        tracemalloc.start()
+        try:
+            clustering_coefficient(g)
+            pagerank(g)
+            avg_neighbor_degree(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
 
 class TestFeatureMatrix:

@@ -17,6 +17,8 @@ from netloc.kernels import (
     relu_grad,
 )
 
+from netloc.models import GraphRegressor
+
 from oracles import fd_gradient, principal_eigenpair, softmax
 
 
@@ -155,3 +157,28 @@ class TestLoss:
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown loss"):
             LossKind("huber")
+
+    def test_batch_step_derivative_matches_loss_grad(self):
+        # batch_step takes each graph's dL/dyhat from a scalar form of loss_grad;
+        # it must be the same float as the one-element loss_grad divided by N.
+        # libm's log rounds differently from numpy's in about 1 case in 2,000.
+        class Recorder(GraphRegressor):
+            param_names = ("w",)
+
+            def forward(self, params, inputs, train=False, rng=None):
+                return inputs, None
+
+            def backward(self, params, acts, dy):
+                seen.append(dy)
+                return {"w": np.zeros(1)}
+
+        rng = np.random.default_rng(11)
+        pred = np.concatenate([10.0 ** rng.uniform(-16, 1, 20000), rng.uniform(-1, 1, 1000), [0.0, 1e-12, 1e-13]])
+        target = 10.0 ** rng.uniform(-14, 0, pred.size)
+        rng.shuffle(pred)
+        for kind in (MSE, LOG_MSE):
+            seen = []
+            Recorder().batch_step({"w": np.zeros(1)}, list(pred), target, kind)
+            want = [loss_grad(pred[k : k + 1], target[k : k + 1], kind)[0] / pred.size for k in range(pred.size)]
+            assert np.array(seen).tobytes() == np.array(want).tobytes()
+        assert (pred < LOG_MSE.log_floor).sum() > 100

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import json
 import sys
 import time
@@ -51,10 +50,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _read_config(path: str, cls):
-    """``cls.from_dict`` of a JSON config file; every error names the file."""
+def _read_config(path: str | None, cls, overrides: dict):
+    """``cls.from_dict`` of a JSON config file's object updated by ``overrides``.
+
+    One construction checks the file and the flags together, so a flag may
+    complete or correct the file; every error names the file, if one is given.
+    """
+    if path is None:
+        return cls.from_dict(overrides)
     try:
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict({**json.loads(Path(path).read_text(encoding="utf-8")), **overrides})
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     except (TypeError, ValueError) as exc:
@@ -108,7 +113,6 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    spec = _read_config(args.config, data_mod.DatasetSpec) if args.config else data_mod.DatasetSpec()
     overrides: dict = {}
     if args.families:
         overrides["families"] = tuple(args.families.split(","))
@@ -125,8 +129,7 @@ def _cmd_generate(args) -> int:
         overrides["train_size_range"] = tuple(args.train_sizes)
     if args.test_sizes:
         overrides["test_size_range"] = tuple(args.test_sizes)
-    if overrides:
-        spec = dataclasses.replace(spec, **overrides)
+    spec = _read_config(args.config, data_mod.DatasetSpec, overrides)
     t0 = time.perf_counter()
     train_items, test_items = data_mod.build_synthetic(spec)
     out = Path(args.out)
@@ -152,7 +155,6 @@ def _cmd_ingest_tu(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _read_config(args.config, TrainConfig) if args.config else TrainConfig()
     overrides: dict = {}
     for key in ("model", "loss", "optimizer", "lr", "weight_decay", "epochs", "seed", "dropout"):
         val = getattr(args, key)
@@ -160,8 +162,7 @@ def _cmd_train(args) -> int:
             overrides[key] = val
     if args.batch_size is not None:
         overrides["batch_size"] = None if args.batch_size == 0 else args.batch_size
-    if overrides:
-        config = TrainConfig.from_dict({**config.to_dict(), **overrides})
+    config = _read_config(args.config, TrainConfig, overrides)
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
     t0 = time.perf_counter()
     result = train(config, items)

@@ -84,7 +84,8 @@ class DatasetSpec:
 
     Items cycle round-robin through ``families``; sizes are drawn uniformly
     from the inclusive ranges. ER graphs use edge probability
-    ``er_mean_degree / n`` and are resampled until connected.
+    ``er_mean_degree / n``, so their sizes start at ``er_mean_degree``, and
+    are resampled until connected.
     """
 
     families: tuple[str, ...] = ("cycle", "star")
@@ -108,14 +109,18 @@ class DatasetSpec:
             raise ValueError("counts must be nonnegative")
         if self.sf_m < 1:
             raise ValueError(f"scale_free attachment count must be >= 1, got {self.sf_m}")
-        if self.er_mean_degree <= 0.0:
-            raise ValueError(f"er_mean_degree must be positive, got {self.er_mean_degree}")
+        if not 0.0 < self.er_mean_degree < math.inf:
+            raise ValueError(f"er_mean_degree must be positive and finite, got {self.er_mean_degree}")
+        if not self.label_tol > 0.0:
+            raise ValueError(f"label_tol must be positive, got {self.label_tol}")
+        if self.label_max_iter < 1:
+            raise ValueError(f"label_max_iter must be >= 1, got {self.label_max_iter}")
+        floors = dict(_MIN_NODES, scale_free=self.sf_m + 1)
+        floors["er"] = max(floors["er"], math.ceil(self.er_mean_degree))
+        needed = max(floors[f] for f in self.families)
         for lo, hi in (self.train_size_range, self.test_size_range):
             if lo > hi:
                 raise ValueError(f"size range ({lo}, {hi}) has lo > hi")
-            needed = max(
-                _MIN_NODES[f] if f != "scale_free" else self.sf_m + 1 for f in self.families
-            )
             if lo < needed:
                 raise ValueError(f"size range starts at {lo}, but these families need n >= {needed}")
 
@@ -166,8 +171,6 @@ def _build_instance(family: str, n: int, spec: DatasetSpec, rng: np.random.Gener
         return make_scale_free(n, spec.sf_m, seed), seed
     if family == "er":
         p = spec.er_mean_degree / n
-        if p > 1.0:
-            raise ValueError(f"er_mean_degree {spec.er_mean_degree} exceeds n={n}")
         for _ in range(1000):
             seed = int(rng.integers(2**63))
             g = make_er(n, p, seed)

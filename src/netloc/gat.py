@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .kernels import glorot_init, leaky_relu, leaky_relu_grad, mean_pool, relu, relu_grad
+from .kernels import glorot_init, leaky_relu, leaky_relu_grad, relu, relu_grad
 from .models import GraphRegressor
 
 __all__ = ["LEAKY_SLOPE", "GatInputs", "GatActivations", "GAT"]
@@ -79,18 +79,19 @@ class AttnCache:
 
 @dataclass
 class GatActivations:
+    """What backward reads: each layer's input after dropout, and layer 2's mask."""
+
     inputs: GatInputs
-    train: bool
     h0d: np.ndarray
-    mask0: np.ndarray | None
     heads: AttnCache
-    h1c: np.ndarray
     mask1: np.ndarray | None
     h1in: np.ndarray
     layer2: AttnCache
-    h2: np.ndarray
     z: np.ndarray
-    yhat: float
+
+    @property
+    def kinks(self) -> list[np.ndarray]:
+        return [self.heads.pre, self.heads.s, self.layer2.pre, self.layer2.s]
 
 
 class GAT(GraphRegressor):
@@ -152,9 +153,7 @@ class GAT(GraphRegressor):
         return params
 
     def prepare(self, graph: Graph, h0: np.ndarray) -> GatInputs:
-        h0 = np.asarray(h0, dtype=np.float64)
-        if h0.shape != (graph.n, self.d):
-            raise ValueError(f"features must be {(graph.n, self.d)}, got {h0.shape}")
+        h0 = self._checked_features(graph, h0)
         n = graph.n
         indptr, indices = graph.csr
         node = np.arange(n)
@@ -214,63 +213,34 @@ class GAT(GraphRegressor):
         keep = 1.0 - self.dropout
         drop = train and self.dropout > 0.0
         n = inputs.n
-        if drop:
-            mask0 = rng.random(inputs.h0.shape) < keep
-            h0d = inputs.h0 * mask0 / keep
-        else:
-            mask0 = None
-            h0d = inputs.h0
+        h0d = inputs.h0 * (rng.random(inputs.h0.shape) < keep) / keep if drop else inputs.h0
         w1 = np.concatenate([params[k] for k in self._w1_names], axis=1)
         a1 = np.stack([params[k] for k in self._a1_names])
         heads = self._attend((h0d @ w1).reshape(n, self.heads, self.f1), a1, inputs, train, rng, keep)
         h1c = relu(heads.s).reshape(n, self.heads * self.f1)
-        if drop:
-            mask1 = rng.random(h1c.shape) < keep
-            h1in = h1c * mask1 / keep
-        else:
-            mask1 = None
-            h1in = h1c
+        mask1 = rng.random(h1c.shape) < keep if drop else None
+        h1in = h1c * mask1 / keep if drop else h1c
         wh2 = (h1in @ params["w2"]).reshape(n, 1, self.f2)
         layer2 = self._attend(wh2, params["a2"][None, :], inputs, train, rng, keep)
-        h2 = relu(layer2.s[:, 0])
-        z = mean_pool(h2)
-        yhat = float(z @ params["w_lin"][:, 0] + params["b"])
-        return yhat, GatActivations(
-            inputs=inputs,
-            train=train,
-            h0d=h0d,
-            mask0=mask0,
-            heads=heads,
-            h1c=h1c,
-            mask1=mask1,
-            h1in=h1in,
-            layer2=layer2,
-            h2=h2,
-            z=z,
-            yhat=yhat,
-        )
+        yhat, z = self._readout(params, relu(layer2.s[:, 0]))
+        return yhat, GatActivations(inputs, h0d, heads, mask1, h1in, layer2, z)
 
     def backward(self, params, acts: GatActivations, dy: float) -> dict[str, np.ndarray]:
         inputs = acts.inputs
         keep = 1.0 - self.dropout
         n = inputs.n
-        dz = dy * params["w_lin"][:, 0]
-        dw_lin = dy * acts.z[:, None]
-        db = np.array(dy)
-        ds2 = relu_grad(acts.layer2.s) * (dz / n)
+        grads, dh2 = self._readout_backward(params, acts.z, n, dy)
+        ds2 = relu_grad(acts.layer2.s) * dh2
         dwh2, da2 = self._attend_backward(acts.layer2, params["a2"][None, :], ds2, inputs, keep)
         dwh2 = dwh2[:, 0]
         dw2 = acts.h1in.T @ dwh2
         dh1in = dwh2 @ params["w2"].T
-        if acts.mask1 is not None:
-            dh1c = dh1in * acts.mask1 / keep
-        else:
-            dh1c = dh1in
+        dh1c = dh1in if acts.mask1 is None else dh1in * acts.mask1 / keep
         ds1 = relu_grad(acts.heads.s) * dh1c.reshape(acts.heads.s.shape)
         a1 = np.stack([params[k] for k in self._a1_names])
         dwh1, da1 = self._attend_backward(acts.heads, a1, ds1, inputs, keep)
         dw1 = acts.h0d.T @ dwh1.reshape(n, self.heads * self.f1)
-        grads: dict[str, np.ndarray] = {"w2": dw2, "a2": da2[0], "w_lin": dw_lin, "b": db}
+        grads.update(w2=dw2, a2=da2[0])
         grads.update(zip(self._w1_names, np.split(dw1, self.heads, axis=1)))
         grads.update(zip(self._a1_names, da1))
         return grads

@@ -3,11 +3,11 @@
 Forward pass per graph, with Ahat the self-looped symmetric normalized
 adjacency and H0 the n x d feature matrix:
 
-    Q(l) = Ahat @ H(l-1) @ W(l-1)      H(l) = relu(Q(l))     l = 1..3
-    z    = column mean of H(3)         yhat = z @ w_lin + b
+    P(l) = Ahat @ H(l-1)    Q(l) = P(l) @ W(l-1)    H(l) = relu(Q(l))    l = 1..3
+    z    = column mean of H(3)                      yhat = z @ w_lin + b
 
-The backward pass mirrors this exactly; every intermediate needed by the
-chain rule is cached in :class:`GcnActivations`.
+The backward pass runs the layer loop in reverse and reads only what
+:class:`GcnActivations` keeps: Ahat, the P(l), the Q(l) and z.
 """
 
 from __future__ import annotations
@@ -17,29 +17,26 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .kernels import glorot_init, mean_pool, normalized_adjacency, relu, relu_grad
+from .kernels import glorot_init, normalized_adjacency, relu, relu_grad
 from .models import GraphRegressor
 
 __all__ = ["GcnActivations", "GCN"]
 
+_LAYERS = ("w0", "w1", "w2")
+
 
 @dataclass
 class GcnActivations:
-    """Every intermediate of one forward pass. p(l) = Ahat @ H(l-1)."""
+    """What backward reads of one forward pass; ``p[l - 1]`` and ``q[l - 1]`` hold P(l) and Q(l)."""
 
     ahat: np.ndarray
-    h0: np.ndarray
-    p1: np.ndarray
-    q1: np.ndarray
-    h1: np.ndarray
-    p2: np.ndarray
-    q2: np.ndarray
-    h2: np.ndarray
-    p3: np.ndarray
-    q3: np.ndarray
-    h3: np.ndarray
+    p: list[np.ndarray]
+    q: list[np.ndarray]
     z: np.ndarray
-    yhat: float
+
+    @property
+    def kinks(self) -> list[np.ndarray]:
+        return self.q
 
 
 class GCN(GraphRegressor):
@@ -70,39 +67,25 @@ class GCN(GraphRegressor):
         }
 
     def prepare(self, graph: Graph, h0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        h0 = np.asarray(h0, dtype=np.float64)
-        if h0.shape != (graph.n, self.d):
-            raise ValueError(f"features must be {(graph.n, self.d)}, got {h0.shape}")
+        h0 = self._checked_features(graph, h0)
         return normalized_adjacency(graph), h0
 
     def forward(self, params, inputs, train: bool = False, rng=None) -> tuple[float, GcnActivations]:
-        ahat, h0 = inputs
-        p1 = ahat @ h0
-        q1 = p1 @ params["w0"]
-        h1 = relu(q1)
-        p2 = ahat @ h1
-        q2 = p2 @ params["w1"]
-        h2 = relu(q2)
-        p3 = ahat @ h2
-        q3 = p3 @ params["w2"]
-        h3 = relu(q3)
-        z = mean_pool(h3)
-        yhat = float(z @ params["w_lin"][:, 0] + params["b"])
-        return yhat, GcnActivations(ahat, h0, p1, q1, h1, p2, q2, h2, p3, q3, h3, z, yhat)
+        ahat, h = inputs
+        p, q = [], []
+        for name in _LAYERS:
+            p.append(ahat @ h)
+            q.append(p[-1] @ params[name])
+            h = relu(q[-1])
+        yhat, z = self._readout(params, h)
+        return yhat, GcnActivations(ahat, p, q, z)
 
     def backward(self, params, acts: GcnActivations, dy: float) -> dict[str, np.ndarray]:
         """Gradients of dy * yhat's upstream loss term for one graph."""
-        n = acts.h0.shape[0]
-        dz = dy * params["w_lin"][:, 0]
-        dw_lin = dy * acts.z[:, None]
-        db = np.array(dy)
-        # Mean pooling spreads dz uniformly over rows with weight 1/n.
-        dq3 = relu_grad(acts.q3) * (dz / n)[None, :]
-        dw2 = acts.p3.T @ dq3
-        dh2 = acts.ahat @ (dq3 @ params["w2"].T)
-        dq2 = relu_grad(acts.q2) * dh2
-        dw1 = acts.p2.T @ dq2
-        dh1 = acts.ahat @ (dq2 @ params["w1"].T)
-        dq1 = relu_grad(acts.q1) * dh1
-        dw0 = acts.p1.T @ dq1
-        return {"w0": dw0, "w1": dw1, "w2": dw2, "w_lin": dw_lin, "b": db}
+        grads, dh = self._readout_backward(params, acts.z, acts.ahat.shape[0], dy)
+        for layer, name in reversed(list(enumerate(_LAYERS))):
+            dq = relu_grad(acts.q[layer]) * dh
+            grads[name] = acts.p[layer].T @ dq
+            if layer > 0:
+                dh = acts.ahat @ (dq @ params[name].T)
+        return grads

@@ -1,4 +1,4 @@
-"""Shared graph-regressor plumbing: batch gradient accumulation and checkpoints.
+"""Shared graph-regressor plumbing: readout head, batch gradients, checkpoints.
 
 Both models expose the same parameter-dict interface (name -> float64 array),
 so the optimizers and the training loop never need to know which one they are
@@ -8,11 +8,12 @@ driving.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .kernels import MSE, LossKind, _loss_grad, loss
+from .kernels import MSE, LossKind, _loss_grad, loss, mean_pool
 
 __all__ = ["GraphRegressor", "save_checkpoint", "load_checkpoint"]
 
@@ -23,9 +24,11 @@ CHECKPOINT_VERSION = 1
 class GraphRegressor:
     """Base class: subclasses provide ``prepare``, ``forward`` and ``backward``.
 
-    ``forward`` returns ``(yhat, activations)`` for one prepared graph;
-    ``backward`` maps ``(params, activations, dL/dyhat)`` to a gradient dict
-    with the same keys and shapes as ``params``.
+    ``forward`` returns ``(yhat, activations)`` for one prepared graph: only
+    what ``backward`` reads, plus ``kinks``, the arrays entering a ReLU or
+    LeakyReLU. ``backward`` maps ``(params, activations, dL/dyhat)`` to a
+    gradient dict with the same keys and shapes as ``params``. The base class
+    holds the shared feature check, the mean-pool readout and its backward.
     """
 
     kind: str = ""
@@ -46,6 +49,25 @@ class GraphRegressor:
 
     def backward(self, params, acts, dy: float) -> dict[str, np.ndarray]:
         raise NotImplementedError
+
+    def _checked_features(self, graph, h0: np.ndarray) -> np.ndarray:
+        """``h0`` as float64, checked to be the graph's ``(n, d)`` feature matrix."""
+        h0 = np.asarray(h0, dtype=np.float64)
+        if h0.shape != (graph.n, self.d):
+            raise ValueError(f"features must be {(graph.n, self.d)}, got {h0.shape}")
+        return h0
+
+    @staticmethod
+    def _readout(params, h: np.ndarray) -> tuple[float, np.ndarray]:
+        """``(yhat, z)`` with ``z`` the column mean of ``h`` and ``yhat = z @ w_lin + b``."""
+        z = mean_pool(h)
+        return float(z @ params["w_lin"][:, 0] + params["b"]), z
+
+    @staticmethod
+    def _readout_backward(params, z: np.ndarray, n: int, dy: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Head gradients and ``dL/dh``, the same ``dy * w_lin / n`` for each of the ``n`` rows."""
+        dz = dy * params["w_lin"][:, 0]
+        return {"w_lin": dy * z[:, None], "b": np.array(dy)}, dz / n
 
     def predict(self, params, inputs_list) -> np.ndarray:
         """Eval-mode predictions for a list of prepared graphs."""
@@ -106,27 +128,44 @@ def save_checkpoint(path: str | Path, model: GraphRegressor, params: dict, confi
 
 
 def load_checkpoint(path: str | Path) -> tuple[GraphRegressor, dict[str, np.ndarray], dict]:
-    """Read a checkpoint back into a freshly constructed model and params dict."""
+    """Read a checkpoint back into a freshly constructed model and params dict.
+
+    Errors name the file: ``path:line: msg`` for a JSON syntax error and
+    ``path: reason`` for content that does not make a model and its params.
+    """
+    try:
+        return _read_checkpoint(json.loads(Path(path).read_text(encoding="utf-8")))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_checkpoint(blob: dict) -> tuple[GraphRegressor, dict[str, np.ndarray], dict]:
     from .gat import GAT
     from .gcn import GCN
 
-    blob = json.loads(Path(path).read_text(encoding="utf-8"))
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"{path}: not a checkpoint file (format={blob.get('format')!r})")
+    fmt = blob.get("format") if isinstance(blob, dict) else None
+    if fmt != CHECKPOINT_FORMAT:
+        raise ValueError(f"not a checkpoint file (format={fmt!r})")
     if blob.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(
-            f"{path}: checkpoint version {blob.get('version')!r} unsupported "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
-    widths = blob["widths"]
-    if blob["model"] == "gcn":
-        model: GraphRegressor = GCN(**widths)
-    elif blob["model"] == "gat":
-        model = GAT(**widths)
-    else:
-        raise ValueError(f"{path}: unknown model kind {blob['model']!r}")
+        raise ValueError(f"checkpoint version {blob.get('version')!r} unsupported (expected {CHECKPOINT_VERSION})")
+    models = {"gcn": GCN, "gat": GAT}
+    if blob["model"] not in models:
+        raise ValueError(f"unknown model kind {blob['model']!r}")
+    model: GraphRegressor = models[blob["model"]](**blob["widths"])
+    expected = model.init_params(0)
     params = {}
     for name in model.param_names:
         entry = blob["params"][name]
-        params[name] = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        data, shape = np.array(entry["data"], dtype=np.float64), tuple(entry["shape"])
+        if data.shape != (math.prod(shape),):
+            raise ValueError(
+                f"parameter {name!r} holds {data.size} values, but its shape {shape} needs {math.prod(shape)}"
+            )
+        if shape != expected[name].shape:
+            raise ValueError(f"parameter {name!r} has shape {shape}, but the widths give {expected[name].shape}")
+        params[name] = data.reshape(shape)
     return model, params, blob.get("config", {})

@@ -73,10 +73,10 @@ class TrainConfig:
     dropout: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.model not in ("gcn", "gat"):
-            raise ValueError(f"model must be 'gcn' or 'gat', got {self.model!r}")
-        if self.loss not in ("mse", "logmse"):
-            raise ValueError(f"loss must be 'mse' or 'logmse', got {self.loss!r}")
+        """Fail on any value that the model, the loss or the optimizer would reject."""
+        build_model(self)
+        LossKind(self.loss)
+        make_optimizer(self.optimizer, self.lr, self.weight_decay)
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
         if self.batch_size is not None and self.batch_size < 1:
@@ -127,7 +127,9 @@ class EvalReport:
 def build_model(config: TrainConfig) -> GraphRegressor:
     if config.model == "gcn":
         return GCN(d=config.d, k0=config.k0, k1=config.k1, k2=config.k2)
-    return GAT(d=config.d, heads=config.heads, f1=config.f1, f2=config.f2, dropout=config.dropout)
+    if config.model == "gat":
+        return GAT(d=config.d, heads=config.heads, f1=config.f1, f2=config.f2, dropout=config.dropout)
+    raise ValueError(f"model must be 'gcn' or 'gat', got {config.model!r}")
 
 
 def _copy_params(params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -298,12 +300,7 @@ def gradient_check(
     attention softmax produces true zeros whenever a neighborhood's scores all
     sit on one side of the LeakyReLU kink).
     """
-    if model_kind == "gcn":
-        model: GraphRegressor = GCN(d=7, k0=8, k1=8, k2=8)
-    elif model_kind == "gat":
-        model = GAT(d=7, heads=2, f1=4, f2=8, dropout=0.0)
-    else:
-        raise ValueError(f"model must be 'gcn' or 'gat', got {model_kind!r}")
+    model = build_model(TrainConfig(model=model_kind, k0=8, k1=8, k2=8, heads=2, f1=4, f2=8, dropout=0.0))
     for attempt in range(50):
         rng = np.random.default_rng([seed, attempt])
         prepared = []
@@ -347,9 +344,6 @@ def gradient_check(
 
 
 def _kink_gap(model: GraphRegressor, params, inputs) -> float:
-    """Smallest |pre-activation| of an eval forward pass."""
+    """Smallest |input| to a ReLU or LeakyReLU in an eval forward pass."""
     _, acts = model.forward(params, inputs)
-    if isinstance(model, GCN):
-        return min(float(np.min(np.abs(a))) for a in (acts.q1, acts.q2, acts.q3))
-    vals = (acts.heads.pre, acts.heads.s, acts.layer2.pre, acts.layer2.s)
-    return min(float(np.min(np.abs(v))) for v in vals)
+    return min(float(np.min(np.abs(a))) for a in acts.kinks)

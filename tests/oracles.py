@@ -3,8 +3,9 @@
 Each routine here is deliberately a different algorithm from the one in the
 package (Jacobi rotations vs power iteration, path enumeration vs Brandes,
 linear solve vs fixed-point iteration, per-node loops vs segment operations,
-dense matrix products vs CSR edge arrays),
-so agreement is meaningful.
+dense matrix products vs CSR edge arrays). The GCN reference is the same
+algorithm with its layers written out instead of looped, so agreement there
+is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -229,6 +230,37 @@ def attention_neighborhoods(adj: list[tuple[int, ...]]) -> tuple[np.ndarray, np.
             tgt.append(i)
             nbr.append(j)
     return tuple(np.array(x, dtype=np.int64) for x in (tgt, nbr, starts))
+
+
+def gcn_straight_line(params: dict, ahat: np.ndarray, h0: np.ndarray, dy: float) -> tuple[float, dict]:
+    """Three-layer GCN prediction and gradients, each layer written out line by line.
+
+    Same evaluation order as the package's layer loop, so the two agree bit
+    for bit: ``yhat`` and the gradients of ``dy * yhat``.
+    """
+    def relu(x):
+        return np.maximum(x, 0.0)
+
+    def relu_grad(x):
+        return (x > 0.0).astype(np.float64)
+
+    p1 = ahat @ h0
+    q1 = p1 @ params["w0"]
+    p2 = ahat @ relu(q1)
+    q2 = p2 @ params["w1"]
+    p3 = ahat @ relu(q2)
+    q3 = p3 @ params["w2"]
+    z = relu(q3).mean(axis=0)
+    yhat = float(z @ params["w_lin"][:, 0] + params["b"])
+    n = h0.shape[0]
+    dz = dy * params["w_lin"][:, 0]
+    dq3 = relu_grad(q3) * (dz / n)[None, :]
+    dw2 = p3.T @ dq3
+    dq2 = relu_grad(q2) * (ahat @ (dq3 @ params["w2"].T))
+    dw1 = p2.T @ dq2
+    dq1 = relu_grad(q1) * (ahat @ (dq2 @ params["w1"].T))
+    dw0 = p1.T @ dq1
+    return yhat, {"w0": dw0, "w1": dw1, "w2": dw2, "w_lin": dy * z[:, None], "b": np.array(dy)}
 
 
 def ipr_direct(v: np.ndarray) -> float:

@@ -105,7 +105,7 @@ def test_criterion_03_reference_chain_and_accumulation():
     b_sum = 0.0
     for k, inp in enumerate(prepared):
         _, acts = model.forward(params, inp)
-        z = acts.h3.mean(axis=0)
+        z = np.maximum(acts.q[2], 0.0).mean(axis=0)
         w_lin_sum += dy[k] * z[:, None]
         b_sum += dy[k]
     gap = max(

@@ -109,11 +109,26 @@ class TestConfigFile:
             ("train", '{"seed": true}', ": ", "seed: expected int, got bool"),
             ("train", '{"model": 3}', ": ", "model: expected str, got int"),
             ("train", '{"batch_size": "x"}', ": ", "batch_size: expected int | None, got str"),
+            ("train", '{"optimizer": "sgd"}', ": ", "unknown optimizer kind 'sgd'"),
+            ("train", '{"lr": -1.0}', ": ", "learning rate must be positive, got -1.0"),
+            ("train", '{"model": "gat", "dropout": 1.5}', ": ", "dropout must lie in [0,1), got 1.5"),
+            ("train", '{"k0": 0}', ": ", "widths must be positive"),
+            ("train", '{"optimizer": "gd"}', ": ", "gradient descent here takes no weight decay"),
+            ("generate", '{"label_tol": 0.0}', ": ", "label_tol must be positive, got 0.0"),
+            ("generate", '{"label_max_iter": 0}', ": ", "label_max_iter must be >= 1, got 0"),
+            (
+                "generate",
+                '{"families": ["er"], "train_size_range": [5, 6]}',
+                ": ",
+                "size range starts at 5, but these families need n >= 8",
+            ),
         ],
         ids=[
             "generate-key", "generate-syntax", "generate-value", "train-key", "train-syntax", "train-value",
             "generate-float", "generate-tuple", "generate-tuple-item", "generate-range-item", "generate-range-length",
             "train-float", "train-int", "train-bool", "train-str", "train-optional",
+            "train-optimizer", "train-lr", "train-dropout", "train-width", "train-gd-decay",
+            "generate-label-tol", "generate-label-max-iter", "generate-er-range",
         ],
     )
     def test_errors_name_the_file(self, tmp_path, capsys, command, text, where, reason):
@@ -127,6 +142,78 @@ class TestConfigFile:
         message = json.loads(err)["error"]
         assert message.startswith(f"{cfg}{where}")
         assert reason in message
+
+    def test_flag_rejected_before_dataset_load(self, tmp_path, capsys):
+        # Gradient descent takes no weight decay, so the default 5e-4 fails
+        # when the config is built, not after loading the missing dataset.
+        argv = ["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out"), "--optimizer", "gd"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "gradient descent here takes no weight decay"
+
+    def test_flag_completes_file(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle", "--train-count", "2", "--test-count", "0"]
+        assert run(capsys, argv + ["--train-sizes", "6", "8", "--test-sizes", "6", "8"])[0] == 0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"optimizer": "gd", "lr": 0.1, "epochs": 1}')
+        argv = ["train", "--config", str(cfg), "--data", str(data_dir / "train"), "--out", str(tmp_path / "run")]
+        code, _, err = run(capsys, argv + ["--weight-decay", "0"])
+        assert code == 0, err
+        config = json.loads((tmp_path / "run" / "checkpoint.json").read_text())["config"]
+        assert (config["optimizer"], config["weight_decay"], config["lr"]) == ("gd", 0.0, 0.1)
+
+
+class TestCheckpointFile:
+    def write_checkpoint(self, tmp_path, edit):
+        from netloc.gcn import GCN
+        from netloc.models import save_checkpoint
+
+        model = GCN(d=7, k0=2, k1=3, k2=2)
+        path = tmp_path / "ck.json"
+        save_checkpoint(path, model, model.init_params(0))
+        blob = json.loads(path.read_text())
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        return path
+
+    def run_eval(self, tmp_path, capsys, path):
+        argv = ["eval", "--checkpoint", str(path), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        return json.loads(err)
+
+    def test_syntax_error_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{\n")
+        blob = self.run_eval(tmp_path, capsys, path)
+        assert blob["error"].startswith(f"{path}:2: Expecting property name")
+        assert blob["type"] == "ValueError"
+
+    def test_json_list_is_not_a_checkpoint(self, tmp_path, capsys):
+        path = tmp_path / "list.json"
+        path.write_text("[]\n")
+        blob = self.run_eval(tmp_path, capsys, path)
+        assert blob["error"] == f"{path}: not a checkpoint file (format=None)"
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda b: b.pop("widths"), "missing key 'widths'"),
+            (lambda b: b["params"].pop("w1"), "missing key 'w1'"),
+            (lambda b: b["params"]["w0"]["data"].pop(), "parameter 'w0' holds 13 values, but its shape (7, 2) needs 14"),
+            (lambda b: b["params"]["w1"].update(shape=[3, 2], data=[0.0] * 6), "parameter 'w1' has shape (3, 2)"),
+            (lambda b: b.update(model="mlp"), "unknown model kind 'mlp'"),
+            (lambda b: b["widths"].update(k0=0), "widths must be positive"),
+        ],
+        ids=["widths", "param", "data-length", "param-shape", "model-kind", "width-value"],
+    )
+    def test_content_errors_name_the_file(self, tmp_path, capsys, edit, reason):
+        path = self.write_checkpoint(tmp_path, edit)
+        blob = self.run_eval(tmp_path, capsys, path)
+        assert blob["error"].startswith(f"{path}: ")
+        assert reason in blob["error"]
+        assert blob["error"].count(str(path)) == 1
 
 
 class TestPipeline:

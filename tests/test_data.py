@@ -48,6 +48,27 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="nonnegative"):
             small_spec(train_count=-1)
 
+    @pytest.mark.parametrize(
+        "overrides, reason",
+        [
+            (dict(label_tol=0.0), "label_tol must be positive, got 0.0"),
+            (dict(label_tol=float("nan")), "label_tol must be positive, got nan"),
+            (dict(label_max_iter=0), "label_max_iter must be >= 1, got 0"),
+            (dict(families=("er",), train_size_range=(5, 6)), "starts at 5, but these families need n >= 8"),
+            (dict(families=("er",), er_mean_degree=7.5, test_size_range=(7, 9)), "starts at 7, but .* need n >= 8"),
+            (dict(families=("er",), er_mean_degree=float("inf")), "er_mean_degree must be positive and finite"),
+        ],
+        ids=["tol-zero", "tol-nan", "max-iter", "er-train-range", "er-fractional-degree", "er-inf-degree"],
+    )
+    def test_values_that_would_fail_the_build(self, overrides, reason):
+        with pytest.raises(ValueError, match=reason):
+            small_spec(**overrides)
+
+    def test_er_range_may_start_at_its_mean_degree(self):
+        spec = small_spec(families=("er",), er_mean_degree=4.0, train_size_range=(4, 5), train_count=3, test_count=0)
+        train, _ = build_synthetic(spec)
+        assert [it.family for it in train] == ["er"] * 3
+
 
 class TestBuildSynthetic:
     def test_counts_and_round_robin(self):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from netloc.data import FAMILIES
+from netloc.features import build_feature_matrix
 from netloc.gcn import GCN
-from netloc.graphs import Graph, make_er, make_star
-from netloc.kernels import MSE, loss
+from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
+from netloc.kernels import LOG_MSE, MSE, loss, loss_grad
 from netloc.optim import GradientDescent
 
-from oracles import fd_gradient
+from oracles import fd_gradient, gcn_straight_line
 
 
 def connected_er(n, p, seed):
@@ -43,8 +45,8 @@ class TestForward:
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         h0 = np.array([[1.0, 0.0, 2.0], [-1.0, 3.0, 1.0]])
         _, acts = model.forward(params, (a, h0))
-        assert acts.p1.tolist() == [[-1.0, 6.0, 4.0], [-1.0, 12.0, 10.0]]
-        assert acts.q1.tolist() == [[-5.0, 4.0], [-11.0, 10.0]]
+        assert acts.p[0].tolist() == [[-1.0, 6.0, 4.0], [-1.0, 12.0, 10.0]]
+        assert acts.q[0].tolist() == [[-5.0, 4.0], [-11.0, 10.0]]
 
     def test_readout_is_mean_of_last_layer(self):
         model = GCN(d=7, k0=3, k1=3, k2=2)
@@ -52,7 +54,7 @@ class TestForward:
         g = connected_er(8, 0.4, seed=1)
         inputs = model.prepare(g, np.random.default_rng(0).uniform(size=(8, 7)))
         yhat, acts = model.forward(params, inputs)
-        np.testing.assert_allclose(acts.z, acts.h3.mean(axis=0))
+        np.testing.assert_allclose(acts.z, np.maximum(acts.q[2], 0.0).mean(axis=0))
         assert yhat == pytest.approx(float(acts.z @ params["w_lin"][:, 0] + params["b"]))
 
     def test_prepare_validates_feature_shape(self):
@@ -70,6 +72,36 @@ class TestForward:
     def test_width_validation(self):
         with pytest.raises(ValueError, match="widths"):
             GCN(d=0)
+
+
+class TestLayerLoop:
+    GRAPHS = {
+        "cycle": lambda: make_cycle(11),
+        "path": lambda: make_path(11),
+        "star": lambda: make_star(11),
+        "wheel": lambda: make_wheel(11),
+        "er": lambda: connected_er(11, 0.35, seed=3),
+        "scale_free": lambda: make_scale_free(11, 2, seed=4),
+    }
+
+    @pytest.mark.parametrize("kind", [MSE, LOG_MSE], ids=["mse", "logmse"])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_straight_line_reference_bit_for_bit(self, family, kind):
+        model = GCN(d=7, k0=6, k1=5, k2=4)
+        params = model.init_params(21)
+        # A positive bias keeps yhat above the log loss's floor, so dy != 0.
+        params["b"] = np.array(0.5)
+        g = self.GRAPHS[family]()
+        ahat, h0 = model.prepare(g, build_feature_matrix(g))
+        yhat, acts = model.forward(params, (ahat, h0))
+        dy = float(loss_grad(np.array([yhat]), np.array([0.2]), kind)[0])
+        assert dy != 0.0
+        ref_yhat, ref_grads = gcn_straight_line(params, ahat, h0, dy)
+        grads = model.backward(params, acts, dy)
+        assert yhat == ref_yhat
+        assert set(grads) == set(ref_grads) == set(model.param_names)
+        for name in model.param_names:
+            assert np.array_equal(grads[name], ref_grads[name]), name
 
 
 class TestBatchGradients:

@@ -13,6 +13,8 @@ from netloc.train import (
     SNAPSHOT_EPOCHS,
     NumericFailure,
     TrainConfig,
+    _kink_gap,
+    build_model,
     evaluate,
     gradient_check,
     train,
@@ -297,3 +299,32 @@ class TestGradientCheck:
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
             gradient_check("mlp")
+
+
+class TestKinkGap:
+    @pytest.mark.parametrize(
+        "kind, name, column",
+        [
+            ("gcn", "w0", True),
+            ("gcn", "w1", True),
+            ("gcn", "w2", True),
+            ("gat", "a1h0", False),
+            ("gat", "w1h0", True),
+            ("gat", "a2", False),
+            ("gat", "w2", True),
+        ],
+        ids=["gcn-w0", "gcn-w1", "gcn-w2", "gat-a1h0", "gat-w1h0", "gat-a2", "gat-w2"],
+    )
+    def test_planted_zero_closes_the_gap(self, kind, name, column):
+        # Zeroing a weight column (or an attention vector) puts one kink
+        # array's column exactly at 0; the gap must find it.
+        model = build_model(TrainConfig(model=kind, k0=8, k1=8, k2=8, heads=2, f1=4, f2=8, dropout=0.0))
+        g = tiny_items(train_count=1, families=("scale_free",), size_range=(9, 9))[0].graph
+        inputs = model.prepare(g, np.random.default_rng(5).random((g.n, model.d)))
+        params = model.init_params(5)
+        assert _kink_gap(model, params, inputs) > 0.0
+        if column:
+            params[name][:, 0] = 0.0
+        else:
+            params[name][:] = 0.0
+        assert _kink_gap(model, params, inputs) == 0.0

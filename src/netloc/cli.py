@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
@@ -54,16 +55,26 @@ def _read_config(path: str | None, cls, overrides: dict):
     """``cls.from_dict`` of a JSON config file's object updated by ``overrides``.
 
     One construction checks the file and the flags together, so a flag may
-    complete or correct the file; every error names the file, if one is given.
+    complete or correct the file. If that fails and the file's own object
+    fails too, the file's error is raised under its name; otherwise the
+    flags' error is raised as it is.
     """
     if path is None:
         return cls.from_dict(overrides)
     try:
-        return cls.from_dict({**json.loads(Path(path).read_text(encoding="utf-8")), **overrides})
+        own = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(own, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(own).__name__}")
+    try:
+        return cls.from_dict({**own, **overrides})
+    except (TypeError, ValueError):
+        try:
+            cls.from_dict(own)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+        raise
 
 
 @contextlib.contextmanager
@@ -77,11 +88,12 @@ def _naming(path: str):
 
 
 def _cmd_spectral(args) -> int:
+    thresholds = _thresholds(args)
     g = read_edgelist(args.edgelist)
     with _naming(args.edgelist):
         res = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
         y = ipr(res.pev)
-        _, region = label_graph(g, _thresholds(args), tol=args.tol, max_iter=args.max_iter)
+        _, region = label_graph(g, thresholds, tol=args.tol, max_iter=args.max_iter)
     _emit(
         {
             "n": g.n,
@@ -179,9 +191,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    thresholds = _thresholds(args)
     model, params, _ = load_checkpoint(args.checkpoint)
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
-    report = evaluate(model, params, items, _thresholds(args))
+    report = evaluate(model, params, items, thresholds)
     write_eval_report(report, args.out)
     _emit(
         {
@@ -203,7 +216,9 @@ def _cmd_gradcheck(args) -> int:
     return 0 if worst < 1e-4 else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="netloc",
         description="Spectral localization labels and graph neural regressors.",

@@ -7,7 +7,15 @@ are comparable across graph sizes.
 Every column reads the cached CSR arrays of :class:`Graph`; none builds an
 n x n matrix. Degree columns are O(n), average neighbor degree O(m), PageRank
 O(m) per iteration, clustering O(m^1.5), and betweenness with closeness one
-fused O(n m) BFS pass. Working memory is O(m) plus ``_BLOCK_PAIRS`` blocks.
+fused O((n - p) m) BFS pass for p pendant vertices. Working memory is O(m)
+plus ``_BLOCK_PAIRS`` blocks.
+
+A pendant vertex l (degree 1) whose neighbor a has degree > 1 is never a BFS
+source, since three exact identities give its share from a's sweep:
+
+- l's distance sum is T(a) + n - 2, or -1 when T(a) is -1;
+- l's Brandes dependency on every node other than a equals a's;
+- l's dependency on a is c(a) - 2, where c(a) is the size of a's component.
 """
 
 from __future__ import annotations
@@ -126,24 +134,37 @@ def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     A source's sum is -1 when some node is unreachable from it. The raw
     Brandes sum over all sources counts each unordered pair twice, so it is
     halved and then divided by (n-1)(n-2)/2.
+
+    Only non-pendant sources are swept. A pendant l (degree 1, its neighbor a
+    of degree > 1) has distance sum T(a) + n - 2 (-1 if T(a) is -1), the same
+    dependency as a on every node but a, and dependency c(a) - 2 on a, with
+    c(a) the size of a's component. So a's dependency row counts once for a
+    and once for each of its pendants, and each pendant adds c(a) - 2 to a.
+    Two adjacent degree-1 nodes (a K2 component) are both swept.
     """
     n = g.n
     indptr, indices = g.csr
     deg = g.degrees
+    leaves = np.flatnonzero(deg == 1)
+    hubs = indices[indptr[leaves]]
+    pendants, anchors = leaves[deg[hubs] > 1], hubs[deg[hubs] > 1]
+    folded = np.bincount(anchors, minlength=n)
+    swept = np.setdiff1d(np.arange(n), pendants)
     width = max(1, _BLOCK_PAIRS // n)
     bc = np.zeros(n)
     totals = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, width):
-        sources = np.arange(lo, min(lo + width, n))
-        block_bc, totals[sources] = _sweep(indptr, indices, deg, sources)
+    for lo in range(0, swept.size, width):
+        sources = swept[lo : lo + width]
+        block_bc, totals[sources] = _sweep(indptr, indices, deg, sources, folded[sources])
         bc += block_bc
+    totals[pendants] = np.where(totals[anchors] < 0, -1, totals[anchors] + n - 2)
     if n < 3:
         return np.zeros(n), totals
     return bc / 2.0 / ((n - 1) * (n - 2) / 2.0), totals
 
 
 def _sweep(
-    indptr: np.ndarray, indices: np.ndarray, deg: np.ndarray, sources: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, deg: np.ndarray, sources: np.ndarray, folded: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brandes dependencies summed over ``sources``, and each source's distance sum.
 
@@ -152,6 +173,10 @@ def _sweep(
     len(sources)*n, and each level expands the frontiers of all sources in one
     gather over the CSR edge arrays. The reverse sweep walks the stored levels
     backwards and accumulates Brandes (2001) dependencies.
+
+    A source with ``folded`` pendants stands for them too: its dependency row
+    counts 1 + folded times, and it gains folded * (c - 2) for its component
+    of c nodes. Blocks without such a source sum their rows unweighted.
     """
     n = deg.size
     pairs = sources.size * n
@@ -191,7 +216,12 @@ def _sweep(
         np.add.at(delta, parent, sigma[parent] * ((1.0 + delta[child]) / sigma[child]))
     dist = dist.reshape(sources.size, n)
     totals = np.where(np.any(dist < 0, axis=1), -1, dist.sum(axis=1))
-    return delta.reshape(sources.size, n).sum(axis=0), totals
+    rows = delta.reshape(sources.size, n)
+    if not folded.any():
+        return rows.sum(axis=0), totals
+    bc = ((1.0 + folded)[:, None] * rows).sum(axis=0)
+    bc[sources] += folded * (np.count_nonzero(dist >= 0, axis=1) - 2)
+    return bc, totals
 
 
 def _closeness(totals: np.ndarray) -> np.ndarray:

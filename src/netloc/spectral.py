@@ -60,7 +60,7 @@ class RegionThresholds:
             raise ValueError(
                 f"thresholds must satisfy 0 < tau1 < tau2 < 1, got {self.tau1}, {self.tau2}"
             )
-        if self.epsilon <= 0.0:
+        if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
 
@@ -107,7 +107,7 @@ def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     the top eigenpair is taken from ``eigh`` instead and must pass the same
     residual test. ``iterations`` counts the power steps taken.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

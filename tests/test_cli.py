@@ -52,6 +52,19 @@ class TestSpectral:
         assert blob["error"].count(str(path)) == 1
         assert blob["type"] == kind
 
+    @pytest.mark.parametrize(
+        "flag, reason",
+        [("--tol", "tolerance must be positive, got nan"), ("--epsilon", "epsilon must be positive, got nan")],
+        ids=["tol", "epsilon"],
+    )
+    def test_nan_flag_is_json_error(self, tmp_path, capsys, flag, reason):
+        write_edgelist(make_star(6), tmp_path / "star6.edges")
+        code, out, err = run(capsys, ["spectral", str(tmp_path / "star6.edges"), flag, "nan"])
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert reason in blob["error"]
+        assert blob["type"] == "ValueError"
+
 
 class TestFeatures:
     def test_csv_to_stdout(self, tmp_path, capsys):
@@ -122,13 +135,14 @@ class TestConfigFile:
                 ": ",
                 "size range starts at 5, but these families need n >= 8",
             ),
+            ("train", "[1]", ": ", "expected a JSON object, got list"),
         ],
         ids=[
             "generate-key", "generate-syntax", "generate-value", "train-key", "train-syntax", "train-value",
             "generate-float", "generate-tuple", "generate-tuple-item", "generate-range-item", "generate-range-length",
             "train-float", "train-int", "train-bool", "train-str", "train-optional",
             "train-optimizer", "train-lr", "train-dropout", "train-width", "train-gd-decay",
-            "generate-label-tol", "generate-label-max-iter", "generate-er-range",
+            "generate-label-tol", "generate-label-max-iter", "generate-er-range", "train-list",
         ],
     )
     def test_errors_name_the_file(self, tmp_path, capsys, command, text, where, reason):
@@ -150,6 +164,15 @@ class TestConfigFile:
         code, out, err = run(capsys, argv)
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "gradient descent here takes no weight decay"
+
+    def test_flag_error_does_not_name_the_file(self, tmp_path, capsys):
+        # The file is valid on its own; only the flag's value is rejected.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 1}')
+        argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, argv + ["--lr", "-1"])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"] == "learning rate must be positive, got -1.0"
 
     def test_flag_completes_file(self, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -214,6 +237,13 @@ class TestCheckpointFile:
         assert blob["error"].startswith(f"{path}: ")
         assert reason in blob["error"]
         assert blob["error"].count(str(path)) == 1
+
+    def test_nan_epsilon_is_json_error(self, tmp_path, capsys):
+        path = self.write_checkpoint(tmp_path, lambda b: None)
+        argv = ["eval", "--checkpoint", str(path), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, argv + ["--epsilon", "nan"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "epsilon must be positive, got nan", "type": "ValueError"}
 
 
 class TestPipeline:
@@ -347,6 +377,24 @@ class TestUsage:
     def test_unknown_subcommand_exits_2(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["orbit"])
+        assert info.value.code == 2
+
+    def test_parser_reuse_keeps_no_flag_values(self, tmp_path, capsys):
+        # The star on 6 nodes has IPR 0.3: weak below tau2 = 0.35, strong above the default 0.2.
+        write_edgelist(make_star(6), tmp_path / "star6.edges")
+        argv = ["spectral", str(tmp_path / "star6.edges")]
+        regions = []
+        for extra in (["--tau2", "0.35"], []):
+            code, out, _ = run(capsys, argv + extra)
+            assert code == 0
+            regions.append(json.loads(out)["region"])
+        assert regions == [2, 3]
+
+    def test_usage_error_after_success_exits_2(self, tmp_path, capsys):
+        write_edgelist(make_star(6), tmp_path / "star6.edges")
+        assert run(capsys, ["spectral", str(tmp_path / "star6.edges")])[0] == 0
+        with pytest.raises(SystemExit) as info:
+            main(["spectral", str(tmp_path / "star6.edges"), "--tau2"])
         assert info.value.code == 2
 
     def test_module_entry_point(self, tmp_path):

@@ -14,7 +14,7 @@ from netloc.features import (
     degree_centrality,
     pagerank,
 )
-from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
+from netloc.graphs import Graph, is_connected, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
 
 from oracles import (
     adjacency_lists,
@@ -35,8 +35,6 @@ def complete_graph(n):
 def random_connected(n, p, seed):
     for s in range(seed, seed + 50):
         g = make_er(n, p, seed=s)
-        from netloc.graphs import is_connected
-
         if is_connected(g):
             return g
     raise AssertionError("no connected sample found")
@@ -64,6 +62,24 @@ def csr_column_graphs():
         Graph(1),
         Graph(5),
         Graph(8, ((0, 1), (0, 2), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6))),
+    ]
+
+
+def pendant_graphs():
+    """Graphs with degree-1 nodes wherever the BFS pass can meet them."""
+    clique = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    ring = [(i, i + 1) for i in range(5)] + [(0, 5)]
+    return [
+        *(make_path(n) for n in (2, 3, 4, 7)),
+        # A clique with a three-edge tail: one pendant, anchored on the tail.
+        Graph(8, tuple(clique) + ((4, 5), (5, 6), (6, 7))),
+        # A 6-cycle with three pendants on node 0 and one on node 3.
+        Graph(10, tuple(ring) + ((0, 6), (0, 7), (0, 8), (3, 9))),
+        *(make_scale_free(30, 1, seed=s) for s in range(3)),
+        # Path 0-1-2, a K2 component 3-4 and an isolated node 5.
+        Graph(6, ((0, 1), (1, 2), (3, 4))),
+        # A star beside a K2: its leaves' component is smaller than n.
+        Graph(7, ((0, 1), (0, 2), (0, 3), (0, 4), (5, 6))),
     ]
 
 
@@ -310,6 +326,39 @@ class TestFeatureMatrix:
                 np.testing.assert_allclose(betweenness_centrality(g), b, rtol=1e-12, atol=1e-15)
                 if g.n == 60:
                     np.testing.assert_array_equal(closeness_centrality(g), closeness_by_bfs(adjacency_lists(g)))
+
+    @pytest.mark.parametrize("budget", [1, 50, netloc.features._BLOCK_PAIRS], ids=["1", "50", "default"])
+    def test_pendant_fold_matches_oracles(self, monkeypatch, budget):
+        # Budgets of 1 and 50 pairs put anchors and plain sources in different blocks.
+        monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
+        for g in pendant_graphs():
+            adj = adjacency_lists(g)
+            np.testing.assert_allclose(betweenness_centrality(g), betweenness_by_enumeration(adj), rtol=0.0, atol=1e-15)
+            if is_connected(g):
+                np.testing.assert_array_equal(closeness_centrality(g), closeness_by_bfs(adj))
+            else:
+                np.testing.assert_array_equal(netloc.features._shortest_paths(g)[1], np.full(g.n, -1))
+
+    def test_pendants_are_not_swept(self, monkeypatch):
+        seen = []
+        sweep = netloc.features._sweep
+
+        def spy(indptr, indices, deg, sources, folded):
+            seen.append(sources.copy())
+            return sweep(indptr, indices, deg, sources, folded)
+
+        monkeypatch.setattr(netloc.features, "_sweep", spy)
+        cases = [
+            (make_star(500), [0]),
+            (make_cycle(40), list(range(40))),
+            (make_path(5), [1, 2, 3]),
+            # The K2 component's two degree-1 nodes are both swept.
+            (Graph(6, ((0, 1), (1, 2), (3, 4))), [1, 3, 4, 5]),
+        ]
+        for g, sources in cases:
+            seen.clear()
+            betweenness_centrality(g)
+            assert np.concatenate(seen).tolist() == sources
 
     def test_permutation_invariance(self):
         g = random_connected(14, 0.3, seed=5)

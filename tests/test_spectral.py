@@ -85,6 +85,11 @@ class TestPowerIteration:
         with pytest.raises(ValueError, match="connected"):
             power_iteration(Graph(4, ((0, 1), (2, 3))))
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, float("nan")], ids=["zero", "negative", "nan"])
+    def test_nonpositive_tol_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            power_iteration(make_star(6), tol=tol)
+
     def test_budget_exhaustion_raises(self):
         with pytest.raises(ConvergenceError) as err:
             power_iteration(make_path(60), tol=1e-13, max_iter=3)
@@ -207,6 +212,8 @@ class TestClassifyRegion:
             RegionThresholds(tau1=0.3, tau2=0.2)
         with pytest.raises(ValueError):
             RegionThresholds(epsilon=0.0)
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            RegionThresholds(epsilon=float("nan"))
 
 
 class TestIntegrateDynamics:

@@ -19,7 +19,7 @@ from . import data as data_mod
 from .features import FEATURE_COLUMNS, build_feature_matrix
 from .graphs import read_edgelist
 from .models import load_checkpoint
-from .spectral import RegionThresholds, ipr, label_graph, power_iteration
+from .spectral import RegionThresholds, check_stopping_rule, ipr, label_graph, power_iteration
 from .train import (
     TrainConfig,
     evaluate,
@@ -55,9 +55,9 @@ def _read_config(path: str | None, cls, overrides: dict):
     """``cls.from_dict`` of a JSON config file's object updated by ``overrides``.
 
     One construction checks the file and the flags together, so a flag may
-    complete or correct the file. If that fails and the file's own object
-    fails too, the file's error is raised under its name; otherwise the
-    flags' error is raised as it is.
+    complete or correct the file. If that fails and the flags alone fail
+    with the same error, the error is the flags' and is raised as it is;
+    otherwise it is raised under the file's name.
     """
     if path is None:
         return cls.from_dict(overrides)
@@ -69,12 +69,15 @@ def _read_config(path: str | None, cls, overrides: dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(own).__name__}")
     try:
         return cls.from_dict({**own, **overrides})
-    except (TypeError, ValueError):
+    except (TypeError, ValueError) as exc:
         try:
-            cls.from_dict(own)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-        raise
+            cls.from_dict(overrides)
+            flags_fail_alike = False
+        except (TypeError, ValueError) as flag_exc:
+            flags_fail_alike = str(flag_exc) == str(exc)
+        if flags_fail_alike:
+            raise
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -89,6 +92,7 @@ def _naming(path: str):
 
 def _cmd_spectral(args) -> int:
     thresholds = _thresholds(args)
+    check_stopping_rule(args.tol, args.max_iter)
     g = read_edgelist(args.edgelist)
     with _naming(args.edgelist):
         res = power_iteration(g, tol=args.tol, max_iter=args.max_iter)

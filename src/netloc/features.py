@@ -176,7 +176,7 @@ def _sweep(
 
     A source with ``folded`` pendants stands for them too: its dependency row
     counts 1 + folded times, and it gains folded * (c - 2) for its component
-    of c nodes. Blocks without such a source sum their rows unweighted.
+    of c nodes.
     """
     n = deg.size
     pairs = sources.size * n
@@ -217,8 +217,6 @@ def _sweep(
     dist = dist.reshape(sources.size, n)
     totals = np.where(np.any(dist < 0, axis=1), -1, dist.sum(axis=1))
     rows = delta.reshape(sources.size, n)
-    if not folded.any():
-        return rows.sum(axis=0), totals
     bc = ((1.0 + folded)[:, None] * rows).sum(axis=0)
     bc[sources] += folded * (np.count_nonzero(dist >= 0, axis=1) - 2)
     return bc, totals

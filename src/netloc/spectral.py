@@ -22,6 +22,7 @@ __all__ = [
     "SpectralResult",
     "DynamicsParams",
     "ConvergenceError",
+    "check_stopping_rule",
     "power_iteration",
     "ipr",
     "classify_region",
@@ -91,6 +92,14 @@ class DynamicsParams:
             raise ValueError(f"dt and t_max must be positive, got dt={self.dt}, t_max={self.t_max}")
 
 
+def check_stopping_rule(tol: float, max_iter: int) -> None:
+    """Raise ValueError unless ``tol`` > 0 (NaN is not) and ``max_iter`` >= 1."""
+    if not tol > 0.0:
+        raise ValueError(f"tolerance must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
 def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> SpectralResult:
     """Principal eigenpair of the adjacency matrix of a connected graph.
 
@@ -107,10 +116,7 @@ def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> Spe
     the top eigenpair is taken from ``eigh`` instead and must pass the same
     residual test. ``iterations`` counts the power steps taken.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    check_stopping_rule(tol, max_iter)
     if not is_connected(g):
         raise ValueError("power iteration needs a connected graph")
     n = g.n

@@ -53,17 +53,19 @@ class TestSpectral:
         assert blob["type"] == kind
 
     @pytest.mark.parametrize(
-        "flag, reason",
-        [("--tol", "tolerance must be positive, got nan"), ("--epsilon", "epsilon must be positive, got nan")],
-        ids=["tol", "epsilon"],
+        "flag, value, reason",
+        [
+            ("--tol", "nan", "tolerance must be positive, got nan"),
+            ("--epsilon", "nan", "epsilon must be positive, got nan"),
+            ("--max-iter", "0", "max_iter must be >= 1, got 0"),
+        ],
+        ids=["tol", "epsilon", "max-iter"],
     )
-    def test_nan_flag_is_json_error(self, tmp_path, capsys, flag, reason):
-        write_edgelist(make_star(6), tmp_path / "star6.edges")
-        code, out, err = run(capsys, ["spectral", str(tmp_path / "star6.edges"), flag, "nan"])
+    def test_invalid_flag_is_json_error(self, tmp_path, capsys, flag, value, reason):
+        # A flag's fault is reported before the edge list is read, without its name.
+        code, out, err = run(capsys, ["spectral", str(tmp_path / "missing.edges"), flag, value])
         assert code == 1 and out == ""
-        blob = json.loads(err)
-        assert reason in blob["error"]
-        assert blob["type"] == "ValueError"
+        assert json.loads(err) == {"error": reason, "type": "ValueError"}
 
 
 class TestFeatures:
@@ -166,13 +168,25 @@ class TestConfigFile:
         assert json.loads(err)["error"] == "gradient descent here takes no weight decay"
 
     def test_flag_error_does_not_name_the_file(self, tmp_path, capsys):
-        # The file is valid on its own; only the flag's value is rejected.
+        # Only the flag's value is rejected: the first file is valid on its
+        # own, and in the second a flag fixes the file's own fault.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"epochs": 1}')
         argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
-        code, out, err = run(capsys, argv + ["--lr", "-1"])
+        for text, flags in [('{"epochs": 1}', ["--lr", "-1"]), ('{"optimizer": "gd"}', ["--weight-decay", "0", "--lr", "-1"])]:
+            cfg.write_text(text)
+            code, out, err = run(capsys, argv + flags)
+            assert code == 1 and out == ""
+            assert json.loads(err)["error"] == "learning rate must be positive, got -1.0"
+
+    def test_file_error_named_beside_failing_flags(self, tmp_path, capsys):
+        # --optimizer gd fails alone on the default weight decay, which the
+        # file sets to 0; the file's own lr is what the merged config rejects.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"weight_decay": 0.0, "lr": -1.0}')
+        argv = ["train", "--config", str(cfg), "--data", str(tmp_path / "data"), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, argv + ["--optimizer", "gd"])
         assert code == 1 and out == ""
-        assert json.loads(err)["error"] == "learning rate must be positive, got -1.0"
+        assert json.loads(err)["error"] == f"{cfg}: learning rate must be positive, got -1.0"
 
     def test_flag_completes_file(self, tmp_path, capsys):
         data_dir = tmp_path / "data"

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import json
 import sys
@@ -19,7 +20,7 @@ from . import data as data_mod
 from .features import FEATURE_COLUMNS, build_feature_matrix
 from .graphs import read_edgelist
 from .models import load_checkpoint
-from .spectral import RegionThresholds, check_stopping_rule, ipr, label_graph, power_iteration
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, RegionThresholds, check_stopping_rule, ipr, label_graph, power_iteration
 from .train import (
     TrainConfig,
     evaluate,
@@ -34,14 +35,15 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _thresholds(args) -> RegionThresholds:
-    return RegionThresholds(tau1=args.tau1, tau2=args.tau2, epsilon=args.epsilon)
+def _given(args, cls) -> dict:
+    """The flags given in ``args`` that are named after fields of the dataclass ``cls``."""
+    return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls) if hasattr(args, f.name)}
 
 
 def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau1", type=float, default=0.05, help="delocalized/weak threshold")
-    p.add_argument("--tau2", type=float, default=0.2, help="weak/strong threshold")
-    p.add_argument("--epsilon", type=float, default=1e-6, help="threshold margin")
+    p.add_argument("--tau1", type=float, help="delocalized/weak threshold")
+    p.add_argument("--tau2", type=float, help="weak/strong threshold")
+    p.add_argument("--epsilon", type=float, help="threshold margin")
 
 
 def _positive_int(text: str) -> int:
@@ -49,6 +51,11 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _batch_size(text: str) -> int | None:
+    """``--batch-size``: 0 means full batch, which ``TrainConfig`` spells None."""
+    return int(text) or None
 
 
 def _read_config(path: str | None, cls, overrides: dict):
@@ -61,10 +68,7 @@ def _read_config(path: str | None, cls, overrides: dict):
     """
     if path is None:
         return cls.from_dict(overrides)
-    try:
-        own = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    own = data_mod.read_json(path)
     if not isinstance(own, dict):
         raise ValueError(f"{path}: expected a JSON object, got {type(own).__name__}")
     try:
@@ -91,7 +95,7 @@ def _naming(path: str):
 
 
 def _cmd_spectral(args) -> int:
-    thresholds = _thresholds(args)
+    thresholds = RegionThresholds(**_given(args, RegionThresholds))
     check_stopping_rule(args.tol, args.max_iter)
     g = read_edgelist(args.edgelist)
     with _naming(args.edgelist):
@@ -129,23 +133,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    overrides: dict = {}
-    if args.families:
-        overrides["families"] = tuple(args.families.split(","))
-    for key, flag in (
-        ("train_count", args.train_count),
-        ("test_count", args.test_count),
-        ("seed", args.seed),
-        ("er_mean_degree", args.er_mean_degree),
-        ("sf_m", args.sf_m),
-    ):
-        if flag is not None:
-            overrides[key] = flag
-    if args.train_sizes:
-        overrides["train_size_range"] = tuple(args.train_sizes)
-    if args.test_sizes:
-        overrides["test_size_range"] = tuple(args.test_sizes)
-    spec = _read_config(args.config, data_mod.DatasetSpec, overrides)
+    spec = _read_config(args.config, data_mod.DatasetSpec, _given(args, data_mod.DatasetSpec))
     t0 = time.perf_counter()
     train_items, test_items = data_mod.build_synthetic(spec)
     out = Path(args.out)
@@ -171,14 +159,7 @@ def _cmd_ingest_tu(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    overrides: dict = {}
-    for key in ("model", "loss", "optimizer", "lr", "weight_decay", "epochs", "seed", "dropout"):
-        val = getattr(args, key)
-        if val is not None:
-            overrides[key] = val
-    if args.batch_size is not None:
-        overrides["batch_size"] = None if args.batch_size == 0 else args.batch_size
-    config = _read_config(args.config, TrainConfig, overrides)
+    config = _read_config(args.config, TrainConfig, _given(args, TrainConfig))
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
     t0 = time.perf_counter()
     result = train(config, items)
@@ -195,7 +176,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    thresholds = _thresholds(args)
+    thresholds = RegionThresholds(**_given(args, RegionThresholds))
     model, params, _ = load_checkpoint(args.checkpoint)
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
     report = evaluate(model, params, items, thresholds)
@@ -229,14 +210,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectral", help="principal eigenpair and IPR of one edge list")
+    # A flag left out is absent from args, so _given passes only the flags given
+    # and each dataclass keeps the one copy of its defaults.
+    field_flags = {"argument_default": argparse.SUPPRESS}
+
+    p = sub.add_parser("spectral", help="principal eigenpair and IPR of one edge list", **field_flags)
     p.add_argument("edgelist")
-    p.add_argument("--tol", type=float, default=1e-10, help="bound on the residual ||A v - lambda1 v|| of the result")
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="bound on the residual ||A v - lambda1 v|| of the result")
     p.add_argument(
         "--max-iter",
         type=int,
-        default=100000,
-        dest="max_iter",
+        default=DEFAULT_MAX_ITER,
         help="cap on power steps; from step 2n a slowly contracting graph finishes with one dense eigh",
     )
     _add_threshold_flags(p)
@@ -247,47 +231,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_features)
 
-    p = sub.add_parser("generate", help="build a synthetic train/test dataset")
+    p = sub.add_parser("generate", help="build a synthetic train/test dataset", **field_flags)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="DatasetSpec JSON file")
-    p.add_argument("--families", default=None, help="comma list, e.g. cycle,star")
-    p.add_argument("--train-count", type=int, default=None, dest="train_count")
-    p.add_argument("--test-count", type=int, default=None, dest="test_count")
-    p.add_argument("--train-sizes", type=int, nargs=2, default=None, dest="train_sizes", metavar=("LO", "HI"))
-    p.add_argument("--test-sizes", type=int, nargs=2, default=None, dest="test_sizes", metavar=("LO", "HI"))
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--er-mean-degree", type=float, default=None, dest="er_mean_degree")
-    p.add_argument("--sf-m", type=int, default=None, dest="sf_m")
+    p.add_argument("--families", type=lambda text: text.split(","), help="comma list, e.g. cycle,star")
+    p.add_argument("--train-count", type=int)
+    p.add_argument("--test-count", type=int)
+    p.add_argument("--train-sizes", type=int, nargs=2, dest="train_size_range", metavar=("LO", "HI"))
+    p.add_argument("--test-sizes", type=int, nargs=2, dest="test_size_range", metavar=("LO", "HI"))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--er-mean-degree", type=float)
+    p.add_argument("--sf-m", type=int)
     p.set_defaults(func=_cmd_generate)
 
     p = sub.add_parser("ingest-tu", help="parse a TU text dataset, filter, label, save")
     p.add_argument("directory")
     p.add_argument("--out", required=True)
     p.add_argument("--name", default=None)
-    p.add_argument("--min-nodes", type=int, default=10, dest="min_nodes")
+    p.add_argument("--min-nodes", type=int, default=10)
     p.set_defaults(func=_cmd_ingest_tu)
 
-    p = sub.add_parser("train", help="train a model on a saved dataset")
+    p = sub.add_parser("train", help="train a model on a saved dataset", **field_flags)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="TrainConfig JSON file")
-    p.add_argument("--model", choices=("gcn", "gat"), default=None)
-    p.add_argument("--loss", choices=("mse", "logmse"), default=None)
-    p.add_argument("--optimizer", choices=("gd", "adam", "adamw"), default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size", help="0 means full batch")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--no-verify", action="store_true", dest="no_verify")
+    p.add_argument("--model", choices=("gcn", "gat"))
+    p.add_argument("--loss", choices=("mse", "logmse"))
+    p.add_argument("--optimizer", choices=("gd", "adam", "adamw"))
+    p.add_argument("--lr", type=float)
+    p.add_argument("--weight-decay", type=float)
+    p.add_argument("--dropout", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=_batch_size, help="0 means full batch")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--no-verify", action="store_true", default=False)
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a checkpoint on a saved dataset")
+    p = sub.add_parser("eval", help="evaluate a checkpoint on a saved dataset", **field_flags)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--no-verify", action="store_true", dest="no_verify")
+    p.add_argument("--no-verify", action="store_true", default=False)
     _add_threshold_flags(p)
     p.set_defaults(func=_cmd_eval)
 

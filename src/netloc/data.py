@@ -31,7 +31,7 @@ from .graphs import (
     read_edgelist,
     write_edgelist,
 )
-from .spectral import label_graph
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, label_graph
 
 __all__ = [
     "FAMILIES",
@@ -96,8 +96,8 @@ class DatasetSpec:
     seed: int = 0
     er_mean_degree: float = 8.0
     sf_m: int = 2
-    label_tol: float = 1e-10
-    label_max_iter: int = 100000
+    label_tol: float = DEFAULT_TOL
+    label_max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self) -> None:
         if not self.families:
@@ -138,6 +138,8 @@ def checked_fields(cls, d: dict) -> dict:
     Lists become tuples, ints pass as floats, and unknown keys are left for
     ``cls`` to reject. Errors read ``key: expected int, got str``.
     """
+    if not isinstance(d, dict):
+        raise TypeError(f"expected a JSON object, got {type(d).__name__}")
     hints = typing.get_type_hints(cls)
     return {key: _checked(key, v, hints[key]) if key in hints else v for key, v in d.items()}
 
@@ -286,13 +288,7 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
     return [Graph(len(members[k]), tuple(sorted(edge_sets[k]))) for k in range(n_graphs)]
 
 
-def preprocess(
-    graphs,
-    name: str = "tu",
-    min_nodes: int = 10,
-    label_tol: float = 1e-10,
-    label_max_iter: int = 100000,
-) -> list[LabeledGraph]:
+def preprocess(graphs, name: str = "tu", min_nodes: int = 10) -> list[LabeledGraph]:
     """Keep connected graphs with at least ``min_nodes`` nodes, then label them.
 
     Accepts raw graphs or already-labeled items (labels are recomputed), so
@@ -306,7 +302,7 @@ def preprocess(
         seed = item.seed if isinstance(item, LabeledGraph) else None
         if g.n < min_nodes or not is_connected(g):
             continue
-        target = label_graph(g, tol=label_tol, max_iter=label_max_iter)[0]
+        target = label_graph(g)[0]
         kept.append(LabeledGraph(graph=g, target=target, family=family, seed=seed))
     return kept
 
@@ -351,6 +347,16 @@ def save_dataset(
     (directory / "targets.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
+def read_json(path: str | Path):
+    """The JSON value in ``path``; bad text raises ValueError ``path:line: msg``."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _cell(where: str, name: str, cast, text: str):
     try:
         return cast(text)
@@ -367,16 +373,19 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
 
     With ``verify`` on, every 20th stored target is re-derived from the
     spectral oracle, at the ``label_tol`` and ``label_max_iter`` of the
-    manifest's spec if it has one, and must agree to 1e-9.
+    manifest's spec, or of ``DatasetSpec()`` (the oracle's defaults, which
+    :func:`preprocess` labels with) when it has none, and must agree to 1e-9.
     """
     directory = Path(directory)
     man_path = directory / "manifest.json"
     if not man_path.is_file():
         raise DatasetFormatError(f"{directory}: no manifest.json")
     try:
-        manifest = json.loads(man_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DatasetFormatError(f"{man_path}: not valid JSON ({exc})") from exc
+        manifest = read_json(man_path)
+    except ValueError as exc:
+        raise DatasetFormatError(str(exc)) from exc
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError(f"{man_path}: expected a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != DATASET_FORMAT:
         raise DatasetFormatError(f"{man_path}: format is {manifest.get('format')!r}, expected {DATASET_FORMAT!r}")
     if manifest.get("version") != DATASET_VERSION:
@@ -384,6 +393,8 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
             f"{man_path}: version {manifest.get('version')!r} unsupported (expected {DATASET_VERSION})"
         )
     seeds = manifest.get("seeds", {})
+    if not isinstance(seeds, dict):
+        raise DatasetFormatError(f"{man_path}: seeds must be an object, got {type(seeds).__name__}")
     rows = (directory / "targets.csv").read_text(encoding="utf-8").splitlines()
     if not rows or rows[0] != "id,target,family,n":
         raise DatasetFormatError(f"{directory}/targets.csv: bad or missing header")
@@ -400,7 +411,9 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
         if g.n != n:
             raise DatasetFormatError(f"{where}: node count {n} disagrees with edge file ({g.n})")
         seed = seeds.get(str(ident))
-        items.append(LabeledGraph(graph=g, target=target, family=family, seed=int(seed) if seed is not None else None))
+        if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
+            raise DatasetFormatError(f"{man_path}: seed of item {ident} must be an integer or null, got {seed!r}")
+        items.append(LabeledGraph(graph=g, target=target, family=family, seed=seed))
     if len(items) != manifest.get("count"):
         raise DatasetFormatError(
             f"{directory}: manifest says {manifest.get('count')} items, found {len(items)}"

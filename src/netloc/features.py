@@ -53,6 +53,10 @@ FEATURE_COLUMNS = (
 # of up to 512 nodes take a single BFS block.
 _BLOCK_PAIRS = 1 << 18
 
+_DAMPING = 0.85
+_PAGERANK_TOL = 1e-10
+_PAGERANK_MAX_ITER = 10000
+
 
 def clustering_coefficient(g: Graph) -> np.ndarray:
     """Fraction of closed neighbor pairs per node; 0 for degree < 2.
@@ -92,15 +96,13 @@ def clustering_coefficient(g: Graph) -> np.ndarray:
     return out
 
 
-def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int = 10000) -> np.ndarray:
+def pagerank(g: Graph) -> np.ndarray:
     """Damped random-walk stationary scores; entries sum to 1.
 
-    Iterates p <- (1-d)/n + d * A (p / deg) until the L1 change is at most
-    ``tol``, one O(m) sum over the CSR rows per step. Needs every node to have
-    at least one neighbor (or n == 1).
+    Iterates p <- (1-d)/n + d * A (p / deg) with d = 0.85 until the L1 change
+    is at most 1e-10, one O(m) sum over the CSR rows per step. Needs every
+    node to have at least one neighbor (or n == 1).
     """
-    if not (0.0 < damping < 1.0):
-        raise ValueError(f"damping must lie in (0,1), got {damping}")
     if g.n == 1:
         return np.ones(1)
     deg = g.degrees.astype(np.float64)
@@ -108,16 +110,16 @@ def pagerank(g: Graph, damping: float = 0.85, tol: float = 1e-10, max_iter: int 
         raise ValueError("pagerank needs every node to have degree >= 1")
     _, indices = g.csr
     p = np.full(g.n, 1.0 / g.n)
-    teleport = (1.0 - damping) / g.n
-    for _ in range(max_iter):
-        p_new = teleport + damping * np.bincount(g.csr_rows, weights=(p / deg)[indices], minlength=g.n)
-        if float(np.abs(p_new - p).sum()) <= tol:
+    teleport = (1.0 - _DAMPING) / g.n
+    for _ in range(_PAGERANK_MAX_ITER):
+        p_new = teleport + _DAMPING * np.bincount(g.csr_rows, weights=(p / deg)[indices], minlength=g.n)
+        if float(np.abs(p_new - p).sum()) <= _PAGERANK_TOL:
             return p_new
         p = p_new
     raise ConvergenceError(
-        f"pagerank did not converge to {tol} in {max_iter} iterations",
+        f"pagerank did not converge to {_PAGERANK_TOL} in {_PAGERANK_MAX_ITER} iterations",
         residual=float(np.abs(p_new - p).sum()),
-        iterations=max_iter,
+        iterations=_PAGERANK_MAX_ITER,
     )
 
 

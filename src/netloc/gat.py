@@ -31,9 +31,7 @@ from .graphs import Graph
 from .kernels import glorot_init, leaky_relu, leaky_relu_grad, relu, relu_grad
 from .models import GraphRegressor
 
-__all__ = ["LEAKY_SLOPE", "GatInputs", "GatActivations", "GAT"]
-
-LEAKY_SLOPE = 0.2
+__all__ = ["GatInputs", "GatActivations", "GAT"]
 
 
 @dataclass
@@ -67,13 +65,15 @@ class AttnCache:
     """One attention sublayer's intermediates for one forward pass.
 
     Node arrays are ``(n, heads, f)`` or ``(n, heads)``, edge arrays
-    ``(E, heads)``.
+    ``(E, heads)``; ``p`` is the ``(heads, n, n)`` attention matrix after
+    dropout, as aggregation used it.
     """
 
     wh: np.ndarray
     pre: np.ndarray
     alpha: np.ndarray
     amask: np.ndarray | None
+    p: np.ndarray
     s: np.ndarray
 
 
@@ -169,7 +169,7 @@ class GAT(GraphRegressor):
         u = np.einsum("nhf,hf->nh", wh, a[:, :f])
         v = np.einsum("nhf,hf->nh", wh, a[:, f:])
         pre = u[inputs.tgt] + v[inputs.nbr]
-        e = leaky_relu(pre, LEAKY_SLOPE)
+        e = leaky_relu(pre)
         mx = np.maximum.reduceat(e, inputs.starts)
         ex = np.exp(e - mx[inputs.tgt])
         denom = np.add.reduceat(ex, inputs.starts)
@@ -181,25 +181,23 @@ class GAT(GraphRegressor):
         else:
             amask = None
             alpha_used = alpha
-        s = np.matmul(_scatter(alpha_used, inputs), wh.transpose(1, 0, 2)).transpose(1, 0, 2)
-        return AttnCache(wh=wh, pre=pre, alpha=alpha, amask=amask, s=s)
+        p = _scatter(alpha_used, inputs)
+        s = np.matmul(p, wh.transpose(1, 0, 2)).transpose(1, 0, 2)
+        return AttnCache(wh=wh, pre=pre, alpha=alpha, amask=amask, p=p, s=s)
 
     def _attend_backward(self, cache: AttnCache, a, ds, inputs: GatInputs, keep: float):
         """Gradients of one attention sublayer: returns (d_wh, d_a)."""
         tgt, nbr, starts = inputs.tgt, inputs.nbr, inputs.starts
         # S = P @ Wh per head, so dP = dS @ Wh^T read at the pairs and dWh = P^T @ dS.
         ds_h = ds.transpose(1, 0, 2)
-        dalpha_used = np.matmul(ds_h, cache.wh.transpose(1, 2, 0))[:, tgt, nbr].T
+        dalpha = np.matmul(ds_h, cache.wh.transpose(1, 2, 0))[:, tgt, nbr].T
         if cache.amask is not None:
-            alpha_used = cache.alpha * cache.amask / keep
-            dalpha = dalpha_used * cache.amask / keep
-        else:
-            alpha_used, dalpha = cache.alpha, dalpha_used
-        dwh = np.matmul(_scatter(alpha_used, inputs).transpose(0, 2, 1), ds_h).transpose(1, 0, 2)
+            dalpha = dalpha * cache.amask / keep
+        dwh = np.matmul(cache.p.transpose(0, 2, 1), ds_h).transpose(1, 0, 2)
         # Softmax Jacobian per neighborhood: de = alpha * (dalpha - <alpha, dalpha>).
         seg_dot = np.add.reduceat(cache.alpha * dalpha, starts)
         de = cache.alpha * (dalpha - seg_dot[tgt])
-        dpre = _scatter(de * leaky_relu_grad(cache.pre, LEAKY_SLOPE), inputs)
+        dpre = _scatter(de * leaky_relu_grad(cache.pre), inputs)
         # pre = u[tgt] + v[nbr]: u collects the rows of dpre, v its columns.
         du, dv = dpre.sum(axis=2).T, dpre.sum(axis=1).T
         f = cache.wh.shape[2]

@@ -16,16 +16,22 @@ __all__ = [
     "normalized_adjacency",
     "relu",
     "relu_grad",
+    "LEAKY_SLOPE",
     "leaky_relu",
     "leaky_relu_grad",
     "mean_pool",
     "glorot_init",
+    "LOG_FLOOR",
     "LossKind",
     "MSE",
     "LOG_MSE",
     "loss",
     "loss_grad",
 ]
+
+# LeakyReLU's negative-side slope, and the clamp under both sides of LOG_MSE.
+LEAKY_SLOPE = 0.2
+LOG_FLOOR = 1e-12
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
@@ -49,12 +55,12 @@ def relu_grad(x: np.ndarray) -> np.ndarray:
     return (x > 0.0).astype(np.float64)
 
 
-def leaky_relu(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    return np.where(x > 0.0, x, slope * x)
+def leaky_relu(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, x, LEAKY_SLOPE * x)
 
 
-def leaky_relu_grad(x: np.ndarray, slope: float = 0.2) -> np.ndarray:
-    return np.where(x > 0.0, 1.0, slope)
+def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
+    return np.where(x > 0.0, 1.0, LEAKY_SLOPE)
 
 
 def mean_pool(h: np.ndarray) -> np.ndarray:
@@ -80,18 +86,15 @@ class LossKind:
     """Regression loss selector: plain MSE or MSE in log space.
 
     The log variant clamps both prediction and target from below at
-    ``log_floor`` before taking logs; the clamp has zero gradient below the
+    ``LOG_FLOOR`` before taking logs; the clamp has zero gradient below the
     floor.
     """
 
     kind: str = "mse"
-    log_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.kind not in ("mse", "logmse"):
             raise ValueError(f"unknown loss kind {self.kind!r}")
-        if self.log_floor <= 0.0:
-            raise ValueError(f"log_floor must be positive, got {self.log_floor}")
 
 
 MSE = LossKind("mse")
@@ -116,7 +119,7 @@ def loss(pred: np.ndarray, target: np.ndarray, kind: LossKind = MSE) -> float:
     if kind.kind == "mse":
         diff = pred - target
     else:
-        diff = np.log(np.maximum(pred, kind.log_floor)) - np.log(np.maximum(target, kind.log_floor))
+        diff = np.log(np.maximum(pred, LOG_FLOOR)) - np.log(np.maximum(target, LOG_FLOOR))
     return float(np.mean(diff * diff))
 
 
@@ -131,6 +134,6 @@ def _loss_grad(pred, target, kind: LossKind, scale: float):
     scalars take the same ufuncs as arrays, so they round as in :func:`loss_grad`."""
     if kind.kind == "mse":
         return scale * (pred - target)
-    clamped = np.maximum(pred, kind.log_floor)
-    diff = np.log(clamped) - np.log(np.maximum(target, kind.log_floor))
-    return np.where(pred < kind.log_floor, 0.0, scale * diff / clamped)
+    clamped = np.maximum(pred, LOG_FLOOR)
+    diff = np.log(clamped) - np.log(np.maximum(target, LOG_FLOOR))
+    return np.where(pred < LOG_FLOOR, 0.0, scale * diff / clamped)

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import read_json
 from .kernels import MSE, LossKind, _loss_grad, loss, mean_pool
 
 __all__ = ["GraphRegressor", "save_checkpoint", "load_checkpoint"]
@@ -133,10 +134,9 @@ def load_checkpoint(path: str | Path) -> tuple[GraphRegressor, dict[str, np.ndar
     Errors name the file: ``path:line: msg`` for a JSON syntax error and
     ``path: reason`` for content that does not make a model and its params.
     """
+    blob = read_json(path)
     try:
-        return _read_checkpoint(json.loads(Path(path).read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+        return _read_checkpoint(blob)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -11,6 +11,11 @@ import numpy as np
 
 __all__ = ["GradientDescent", "Adam", "AdamW", "make_optimizer"]
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults).
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
+
 
 def _check(params: dict, grads: dict) -> None:
     for name, g in grads.items():
@@ -39,25 +44,13 @@ class GradientDescent:
 class Adam:
     """Adam with bias correction; weight decay (if any) is added to the gradient."""
 
-    def __init__(
-        self,
-        lr: float,
-        weight_decay: float = 0.0,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-    ):
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         if lr <= 0.0:
             raise ValueError(f"learning rate must be positive, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0,1), got {beta1}, {beta2}")
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -67,8 +60,8 @@ class Adam:
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         _check(params, grads)
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
         for name, g in grads.items():
             p = params[name]
             if self.weight_decay != 0.0:
@@ -81,9 +74,9 @@ class Adam:
                 self.v[name] = np.zeros_like(p)
             m = self.m[name]
             v = self.v[name]
-            m += (1.0 - self.beta1) * (g - m)
-            v += (1.0 - self.beta2) * (g * g - v)
-            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m += (1.0 - _BETA1) * (g - m)
+            v += (1.0 - _BETA2) * (g * g - v)
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
 
 
 class AdamW(Adam):

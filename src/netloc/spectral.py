@@ -22,6 +22,8 @@ __all__ = [
     "SpectralResult",
     "DynamicsParams",
     "ConvergenceError",
+    "DEFAULT_TOL",
+    "DEFAULT_MAX_ITER",
     "check_stopping_rule",
     "power_iteration",
     "ipr",
@@ -29,6 +31,10 @@ __all__ = [
     "integrate_dynamics",
     "label_graph",
 ]
+
+# The oracle's stopping rule wherever a caller does not set its own.
+DEFAULT_TOL = 1e-10
+DEFAULT_MAX_ITER = 100000
 
 
 class ConvergenceError(RuntimeError):
@@ -100,7 +106,7 @@ def check_stopping_rule(tol: float, max_iter: int) -> None:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
 
-def power_iteration(g: Graph, tol: float = 1e-10, max_iter: int = 100000) -> SpectralResult:
+def power_iteration(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER) -> SpectralResult:
     """Principal eigenpair of the adjacency matrix of a connected graph.
 
     Iterates on A + I (same eigenvectors as A, strictly dominant top
@@ -247,8 +253,8 @@ def _rk4_loop(m, x, dt, steps, params):
 def label_graph(
     g: Graph,
     thresholds: RegionThresholds = RegionThresholds(),
-    tol: float = 1e-10,
-    max_iter: int = 100000,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
 ) -> tuple[float, Region]:
     """IPR of the principal eigenvector together with its region."""
     res = power_iteration(g, tol=tol, max_iter=max_iter)

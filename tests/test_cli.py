@@ -167,6 +167,51 @@ class TestConfigFile:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "gradient descent here takes no weight decay"
 
+    def test_empty_families_rejected(self, tmp_path, capsys):
+        code, out, err = run(capsys, ["generate", "--out", str(tmp_path / "data"), "--families", ""])
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith("unknown family ''")
+
+    def test_damaged_manifest_names_the_file(self, tmp_path, capsys):
+        manifest = tmp_path / "data" / "manifest.json"
+        manifest.parent.mkdir()
+        manifest.write_text("[1, 2]\n")
+        code, out, err = run(capsys, ["train", "--data", str(manifest.parent), "--out", str(tmp_path / "run")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"{manifest}: expected a JSON object, got list",
+            "type": "DatasetFormatError",
+        }
+
+    @pytest.mark.parametrize("batch_flag, batch_size", [("0", None), ("3", 3)], ids=["full", "three"])
+    def test_each_flag_sets_its_field(self, tmp_path, capsys, batch_flag, batch_size):
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "er,scale_free", "--train-count", "2"]
+        argv += ["--test-count", "1", "--train-sizes", "9", "10", "--test-sizes", "11", "12", "--seed", "4"]
+        assert run(capsys, argv + ["--er-mean-degree", "3.5", "--sf-m", "3"])[0] == 0
+        spec = json.loads((data_dir / "test" / "manifest.json").read_text())["spec"]
+        assert spec == {
+            "families": ["er", "scale_free"],
+            "train_count": 2,
+            "test_count": 1,
+            "train_size_range": [9, 10],
+            "test_size_range": [11, 12],
+            "seed": 4,
+            "er_mean_degree": 3.5,
+            "sf_m": 3,
+            "label_tol": 1e-10,
+            "label_max_iter": 100000,
+        }
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--model", "gat"]
+        argv += ["--loss", "logmse", "--optimizer", "adamw", "--lr", "0.5", "--weight-decay", "0.25"]
+        argv += ["--dropout", "0.125", "--epochs", "0", "--batch-size", batch_flag, "--seed", "9"]
+        code, _, err = run(capsys, argv)
+        assert code == 0, err
+        config = json.loads((tmp_path / "run" / "checkpoint.json").read_text())["config"]
+        given = {"model": "gat", "loss": "logmse", "optimizer": "adamw", "lr": 0.5, "weight_decay": 0.25}
+        given.update(dropout=0.125, epochs=0, batch_size=batch_size, seed=9)
+        assert {key: config[key] for key in given} == given
+
     def test_flag_error_does_not_name_the_file(self, tmp_path, capsys):
         # Only the flag's value is rejected: the first file is valid on its
         # own, and in the second a flag fixes the file's own fault.

@@ -180,6 +180,25 @@ class TestIngestTu:
         with pytest.raises(ParseError, match="node id 9"):
             ingest_tu_dataset(tmp_path)
 
+    @pytest.mark.parametrize(
+        "a_lines, ind_lines, pattern",
+        [
+            (["1, 2"], ["1", "one"], r"_graph_indicator\.txt:2: expected a graph id, got 'one'"),
+            (["1, 2"], ["1", "0"], r"_graph_indicator\.txt:2: graph ids are 1-indexed, got 0"),
+            (["1, 2"], [""], r"_graph_indicator\.txt: no nodes listed"),
+            (["1, 2", "2, x"], ["1", "1"], r"_A\.txt:2: expected two integers, got '2, x'"),
+        ],
+        ids=["graph-id-not-int", "graph-id-zero", "empty-indicator", "endpoint-not-int"],
+    )
+    def test_malformed_line_reports_file_and_line(self, tmp_path, a_lines, ind_lines, pattern):
+        write_tu_fixture(tmp_path, a_lines=a_lines, ind_lines=ind_lines)
+        with pytest.raises(ParseError, match=pattern):
+            ingest_tu_dataset(tmp_path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        write_tu_fixture(tmp_path, a_lines=["", "1, 2", "  ", "2, 3", ""], ind_lines=["1", "", "1", "1", " "])
+        assert ingest_tu_dataset(tmp_path) == [Graph(3, ((0, 1), (1, 2)))]
+
 
 class TestPreprocess:
     def test_filters_small_and_disconnected(self):
@@ -391,6 +410,45 @@ class TestSaveLoad:
         blob["spec"]["families"] = ["bogus"]
         man.write_text(json.dumps(blob))
         with pytest.raises(DatasetFormatError, match="manifest.json: bad spec"):
+            load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize(
+        "name, edit, pattern",
+        [
+            ("manifest.json", lambda text: "[1, 2]", r"manifest\.json: expected a JSON object, got list"),
+            ("manifest.json", lambda text: text.replace('"count"', '"count":'), r"manifest\.json:2: Expecting value"),
+            ("manifest.json", lambda text: text.replace("netloc-dataset", "csv"), r"manifest\.json: format is 'csv'"),
+            (
+                "manifest.json",
+                lambda text: text.replace('"seeds": {', '"seeds": [1, 2], "old": {'),
+                r"manifest\.json: seeds must be an object, got list",
+            ),
+            (
+                "manifest.json",
+                lambda text: text.replace('"0": null', '"0": "x"'),
+                r"manifest\.json: seed of item 0 must be an integer or null, got 'x'",
+            ),
+            (
+                "manifest.json",
+                lambda text: text.replace('"spec": {', '"spec": [1], "old": {'),
+                r"manifest\.json: bad spec \(expected a JSON object, got list\)",
+            ),
+            ("targets.csv", lambda text: text.replace(",cycle,", ",cycle,x,"), r"targets\.csv:2: expected 4 columns"),
+            (
+                "targets.csv",
+                lambda text: text.replace(",cycle,10", ",cycle,11"),
+                r"targets\.csv:2: node count 11 disagrees with edge file \(10\)",
+            ),
+        ],
+        ids=["not-object", "syntax", "format", "seeds-list", "seed-not-int", "spec-list", "columns", "node-count"],
+    )
+    def test_damaged_file_is_named(self, tmp_path, name, edit, pattern):
+        spec = small_spec(train_count=2, test_count=0, train_size_range=(10, 10))
+        items, _ = build_synthetic(spec)
+        save_dataset(items, tmp_path / "ds", spec=spec)
+        path = tmp_path / "ds" / name
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(DatasetFormatError, match=pattern):
             load_dataset(tmp_path / "ds")
 
     def test_count_mismatch(self, tmp_path):

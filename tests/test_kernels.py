@@ -3,6 +3,7 @@ import pytest
 
 from netloc.graphs import make_cycle, make_er, make_star, make_wheel
 from netloc.kernels import (
+    LOG_FLOOR,
     LOG_MSE,
     MSE,
     LossKind,
@@ -181,4 +182,4 @@ class TestLoss:
             Recorder().batch_step({"w": np.zeros(1)}, list(pred), target, kind)
             want = [loss_grad(pred[k : k + 1], target[k : k + 1], kind)[0] / pred.size for k in range(pred.size)]
             assert np.array(seen).tobytes() == np.array(want).tobytes()
-        assert (pred < LOG_MSE.log_floor).sum() > 100
+        assert (pred < LOG_FLOOR).sum() > 100

@@ -70,8 +70,6 @@ class TestAdam:
         assert abs(params["w"][0]) < 1e-3
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="betas"):
-            Adam(lr=0.1, beta1=1.0)
         with pytest.raises(ValueError, match="decay"):
             Adam(lr=0.1, weight_decay=-1.0)
 

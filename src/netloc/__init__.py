@@ -2,55 +2,3 @@
 a spectral oracle (power iteration + inverse participation ratio) and
 from-scratch GCN/GAT regressors trained against it.
 """
-
-from .graphs import (
-    Graph,
-    is_connected,
-    make_cycle,
-    make_er,
-    make_path,
-    make_scale_free,
-    make_star,
-    make_wheel,
-    read_edgelist,
-    write_edgelist,
-)
-from .spectral import (
-    ConvergenceError,
-    DynamicsParams,
-    Region,
-    RegionThresholds,
-    SpectralResult,
-    classify_region,
-    integrate_dynamics,
-    ipr,
-    label_graph,
-    power_iteration,
-)
-from .features import FEATURE_COLUMNS, build_feature_matrix
-from .data import (
-    DatasetSpec,
-    LabeledGraph,
-    build_synthetic,
-    ingest_tu_dataset,
-    load_dataset,
-    preprocess,
-    save_dataset,
-    split,
-)
-from .gcn import GCN
-from .gat import GAT
-from .models import load_checkpoint, save_checkpoint
-from .optim import Adam, AdamW, GradientDescent, make_optimizer
-from .train import (
-    EvalReport,
-    TrainConfig,
-    TrainResult,
-    evaluate,
-    gradient_check,
-    train,
-    write_eval_report,
-    write_training_artifacts,
-)
-
-__version__ = "0.1.0"

@@ -288,7 +288,7 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
     return [Graph(len(members[k]), tuple(sorted(edge_sets[k]))) for k in range(n_graphs)]
 
 
-def preprocess(graphs, name: str = "tu", min_nodes: int = 10) -> list[LabeledGraph]:
+def preprocess(graphs, name: str, min_nodes: int) -> list[LabeledGraph]:
     """Keep connected graphs with at least ``min_nodes`` nodes, then label them.
 
     Accepts raw graphs or already-labeled items (labels are recomputed), so
@@ -406,6 +406,8 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
             raise DatasetFormatError(f"{where}: expected 4 columns")
         ident = _cell(where, "id", int, parts[0])
         target = _cell(where, "target", float, parts[1])
+        if not math.isfinite(target):
+            raise DatasetFormatError(f"{where}: target must be a finite number, got {parts[1]!r}")
         family, n = parts[2], _cell(where, "node count", int, parts[3])
         g = read_edgelist(directory / "graphs" / f"{ident:06d}.edges")
         if g.n != n:

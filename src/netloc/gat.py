@@ -105,15 +105,7 @@ class GAT(GraphRegressor):
 
     kind = "gat"
 
-    def __init__(
-        self,
-        d: int = 7,
-        heads: int = 4,
-        f1: int = 16,
-        f2: int = 64,
-        dropout: float = 0.6,
-        bias_init: float = 0.15,
-    ):
+    def __init__(self, d: int, heads: int, f1: int, f2: int, dropout: float, bias_init: float = 0.15):
         if min(d, heads, f1, f2) < 1:
             raise ValueError(f"widths must be positive, got {(d, heads, f1, f2)}")
         if not (0.0 <= dropout < 1.0):

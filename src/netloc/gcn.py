@@ -45,7 +45,7 @@ class GCN(GraphRegressor):
     kind = "gcn"
     param_names = ("w0", "w1", "w2", "w_lin", "b")
 
-    def __init__(self, d: int = 7, k0: int = 64, k1: int = 64, k2: int = 64):
+    def __init__(self, d: int, k0: int, k1: int, k2: int):
         if min(d, k0, k1, k2) < 1:
             raise ValueError(f"widths must be positive, got {(d, k0, k1, k2)}")
         self.d = d

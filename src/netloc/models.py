@@ -167,5 +167,7 @@ def _read_checkpoint(blob: dict) -> tuple[GraphRegressor, dict[str, np.ndarray],
             )
         if shape != expected[name].shape:
             raise ValueError(f"parameter {name!r} has shape {shape}, but the widths give {expected[name].shape}")
+        if not np.isfinite(data).all():
+            raise ValueError(f"parameter {name!r} holds a non-finite value")
         params[name] = data.reshape(shape)
     return model, params, blob.get("config", {})

@@ -7,6 +7,8 @@ directly (decoupled), so the two coincide exactly when weight_decay is 0.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["GradientDescent", "Adam", "AdamW", "make_optimizer"]
@@ -15,6 +17,13 @@ __all__ = ["GradientDescent", "Adam", "AdamW", "make_optimizer"]
 _BETA1 = 0.9
 _BETA2 = 0.999
 _EPS = 1e-8
+
+
+def _check_rate(lr: float) -> None:
+    if not math.isfinite(lr):
+        raise ValueError(f"learning rate must be finite, got {lr}")
+    if lr <= 0.0:
+        raise ValueError(f"learning rate must be positive, got {lr}")
 
 
 def _check(params: dict, grads: dict) -> None:
@@ -31,8 +40,7 @@ class GradientDescent:
     """Plain update theta <- theta - lr * grad."""
 
     def __init__(self, lr: float):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+        _check_rate(lr)
         self.lr = lr
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
@@ -44,9 +52,10 @@ class GradientDescent:
 class Adam:
     """Adam with bias correction; weight decay (if any) is added to the gradient."""
 
-    def __init__(self, lr: float, weight_decay: float = 0.0):
-        if lr <= 0.0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
+    def __init__(self, lr: float, weight_decay: float):
+        _check_rate(lr)
+        if not math.isfinite(weight_decay):
+            raise ValueError(f"weight decay must be finite, got {weight_decay}")
         if weight_decay < 0.0:
             raise ValueError(f"weight decay must be nonnegative, got {weight_decay}")
         self.lr = lr
@@ -85,7 +94,7 @@ class AdamW(Adam):
     decoupled = True
 
 
-def make_optimizer(kind: str, lr: float, weight_decay: float = 0.0):
+def make_optimizer(kind: str, lr: float, weight_decay: float):
     if kind == "gd":
         if weight_decay != 0.0:
             raise ValueError("gradient descent here takes no weight decay")

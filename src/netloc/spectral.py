@@ -191,8 +191,10 @@ def classify_region(y: float, thresholds: RegionThresholds = RegionThresholds())
     """Map an IPR value to its localization region.
 
     Delocalized for y <= tau1 - eps, strongly localized for y >= tau2 + eps,
-    weakly localized in between. Total and monotone in y.
+    weakly localized in between. Monotone in y; a non-finite y has no region.
     """
+    if not math.isfinite(y):
+        raise ValueError(f"IPR must be finite, got {y}")
     if y <= thresholds.tau1 - thresholds.epsilon:
         return Region.DELOCALIZED
     if y >= thresholds.tau2 + thresholds.epsilon:

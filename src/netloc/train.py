@@ -8,8 +8,7 @@ ever written into an artifact file.
 from __future__ import annotations
 
 import json
-import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +39,10 @@ CONFIG_FORMAT = "netloc-train-config"
 CONFIG_VERSION = 1
 
 SNAPSHOT_EPOCHS = (0, 1, 2, 3, 4)
+
+# gradient_check's central-difference step and the node-count range of its graphs.
+_GRADCHECK_H = 1e-6
+_GRADCHECK_N_RANGE = (5, 10)
 
 
 class NumericFailure(ArithmeticError):
@@ -108,7 +111,7 @@ class TrainResult:
 
 @dataclass
 class EvalReport:
-    """Evaluation summary; ``runtime_s`` is informational and never serialized."""
+    """Evaluation summary."""
 
     count: int
     mse: float
@@ -121,7 +124,6 @@ class EvalReport:
     pred_regions: np.ndarray
     families: list[str]
     sizes: list[int]
-    runtime_s: float = field(default=0.0, compare=False)
 
 
 def build_model(config: TrainConfig) -> GraphRegressor:
@@ -199,7 +201,6 @@ def evaluate(
     """
     if not items:
         raise ValueError("cannot evaluate an empty dataset")
-    t0 = time.perf_counter()
     prepared = [model.prepare(it.graph, it.features) for it in items]
     preds = model.predict(params, prepared)
     targets = np.array([it.target for it in items])
@@ -213,7 +214,7 @@ def evaluate(
         total = counts[row].sum()
         if total > 0:
             confusion[row] = 100.0 * counts[row] / total
-    report = EvalReport(
+    return EvalReport(
         count=len(items),
         mse=loss(preds, targets),
         region_accuracy=float(np.mean(true_r == pred_r)),
@@ -225,9 +226,7 @@ def evaluate(
         pred_regions=pred_r,
         families=[it.family for it in items],
         sizes=[it.graph.n for it in items],
-        runtime_s=time.perf_counter() - t0,
     )
-    return report
 
 
 def write_training_artifacts(result: TrainResult, directory: str | Path) -> None:
@@ -282,12 +281,7 @@ def _batch_loss(model: GraphRegressor, params, prepared, targets, kind: LossKind
     return loss(preds, targets, kind)
 
 
-def gradient_check(
-    model_kind: str = "gcn",
-    seed: int = 0,
-    h: float = 1e-6,
-    n_range: tuple[int, int] = (5, 10),
-) -> float:
+def gradient_check(model_kind: str, seed: int) -> float:
     """Max relative error between analytic and central-difference gradients.
 
     Runs in eval mode on a small random connected graph pair, redrawing the
@@ -305,7 +299,7 @@ def gradient_check(
         rng = np.random.default_rng([seed, attempt])
         prepared = []
         for _ in range(2):
-            n = int(rng.integers(n_range[0], n_range[1] + 1))
+            n = int(rng.integers(_GRADCHECK_N_RANGE[0], _GRADCHECK_N_RANGE[1] + 1))
             g = None
             for _ in range(100):
                 cand = make_er(n, 0.5, int(rng.integers(2**63)))
@@ -328,12 +322,12 @@ def gradient_check(
             p = params[name]
             for idx in np.ndindex(p.shape):
                 orig = p[idx]
-                p[idx] = orig + h
+                p[idx] = orig + _GRADCHECK_H
                 lp = _batch_loss(model, params, prepared, targets, LossKind("mse"))
-                p[idx] = orig - h
+                p[idx] = orig - _GRADCHECK_H
                 lm = _batch_loss(model, params, prepared, targets, LossKind("mse"))
                 p[idx] = orig
-                numeric = (lp - lm) / (2.0 * h)
+                numeric = (lp - lm) / (2.0 * _GRADCHECK_H)
                 analytic = float(grads[name][idx])
                 if abs(analytic) + abs(numeric) < 1e-8:
                     continue

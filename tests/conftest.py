@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -6,6 +7,12 @@ import pytest
 import netloc.data
 
 sys.path.insert(0, str(Path(__file__).parent))
+
+# Tests that start `python -m netloc.cli` get the netloc this process imported,
+# also when pytest itself found it through pyproject.toml's pythonpath.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(netloc.data.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture

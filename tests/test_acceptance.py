@@ -126,7 +126,7 @@ def test_criterion_04_gradients_match_finite_differences():
     worst = {"gcn": 0.0, "gat": 0.0}
     for kind in ("gcn", "gat"):
         for seed in range(20):
-            worst[kind] = max(worst[kind], gradient_check(kind, seed=seed, h=1e-6))
+            worst[kind] = max(worst[kind], gradient_check(kind, seed=seed))
     ok = worst["gcn"] < 1e-4 and worst["gat"] < 1e-4
     assert _line(
         4,

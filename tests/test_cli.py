@@ -167,6 +167,23 @@ class TestConfigFile:
         assert code == 1 and out == ""
         assert json.loads(err)["error"] == "gradient descent here takes no weight decay"
 
+    @pytest.mark.parametrize(
+        "flag, value, reason",
+        [
+            ("--lr", "nan", "learning rate must be finite, got nan"),
+            ("--lr", "inf", "learning rate must be finite, got inf"),
+            ("--weight-decay", "nan", "weight decay must be finite, got nan"),
+            ("--weight-decay", "inf", "weight decay must be finite, got inf"),
+        ],
+        ids=["lr-nan", "lr-inf", "decay-nan", "decay-inf"],
+    )
+    def test_non_finite_rate_rejected_before_dataset_load(self, tmp_path, capsys, flag, value, reason):
+        argv = ["train", "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out"), "--epochs", "1"]
+        code, out, err = run(capsys, argv + [flag, value])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": reason, "type": "ValueError"}
+        assert not (tmp_path / "out").exists()
+
     def test_empty_families_rejected(self, tmp_path, capsys):
         code, out, err = run(capsys, ["generate", "--out", str(tmp_path / "data"), "--families", ""])
         assert code == 1 and out == ""
@@ -287,8 +304,10 @@ class TestCheckpointFile:
             (lambda b: b["params"]["w1"].update(shape=[3, 2], data=[0.0] * 6), "parameter 'w1' has shape (3, 2)"),
             (lambda b: b.update(model="mlp"), "unknown model kind 'mlp'"),
             (lambda b: b["widths"].update(k0=0), "widths must be positive"),
+            (lambda b: b["params"]["w0"]["data"].__setitem__(3, float("nan")), "parameter 'w0' holds a non-finite value"),
+            (lambda b: b["params"]["b"].update(data=[float("-inf")]), "parameter 'b' holds a non-finite value"),
         ],
-        ids=["widths", "param", "data-length", "param-shape", "model-kind", "width-value"],
+        ids=["widths", "param", "data-length", "param-shape", "model-kind", "width-value", "param-nan", "param-inf"],
     )
     def test_content_errors_name_the_file(self, tmp_path, capsys, edit, reason):
         path = self.write_checkpoint(tmp_path, edit)
@@ -359,6 +378,7 @@ class TestPipeline:
         blob = json.loads(out)
         assert blob["count"] == 2
         assert 0.0 <= blob["region_accuracy"] <= 1.0
+        assert blob["seconds"] > 0.0
         summary = json.loads((eval_dir / "summary.json").read_text())
         assert summary["count"] == 2
 
@@ -387,10 +407,11 @@ class TestPipeline:
 
 
 class TestIngestTu:
-    def test_ingest_filters_and_saves(self, tmp_path, capsys):
+    @staticmethod
+    def write_rings(directory):
+        """Two 12-cycles and one triangle in TU format, named RINGS."""
         from test_data import write_tu_fixture
 
-        # Two 12-cycles and one triangle; min-nodes 10 keeps only the cycles.
         a_lines = []
         ind_lines = []
         node = 0
@@ -402,7 +423,11 @@ class TestIngestTu:
                 a_lines.extend([f"{u}, {v}", f"{v}, {u}"])
                 ind_lines.append(str(gid))
             node += size
-        write_tu_fixture(tmp_path / "raw", name="RINGS", a_lines=a_lines, ind_lines=ind_lines)
+        write_tu_fixture(directory, name="RINGS", a_lines=a_lines, ind_lines=ind_lines)
+
+    def test_ingest_filters_and_saves(self, tmp_path, capsys):
+        # min-nodes 10 keeps only the cycles.
+        self.write_rings(tmp_path / "raw")
         code, out, _ = run(
             capsys,
             ["ingest-tu", str(tmp_path / "raw"), "--out", str(tmp_path / "ds"), "--name", "RINGS"],
@@ -415,6 +440,19 @@ class TestIngestTu:
         items, _ = load_dataset(tmp_path / "ds")
         assert [it.graph.n for it in items] == [12, 12]
         assert all(it.family == "RINGS" for it in items)
+
+    def test_defaults_bind(self, tmp_path, capsys):
+        from netloc.data import load_dataset
+
+        self.write_rings(tmp_path / "raw")
+        for extra, sizes in (([], [12, 12]), (["--min-nodes", "3"], [12, 3, 12])):
+            out_dir = tmp_path / f"ds{len(extra)}"
+            code, _, err = run(capsys, ["ingest-tu", str(tmp_path / "raw"), "--out", str(out_dir), *extra])
+            assert code == 0, err
+            items, manifest = load_dataset(out_dir)
+            assert [it.graph.n for it in items] == sizes
+            assert manifest["name"] == "tu"
+            assert all(it.family == "tu" for it in items)
 
 
 class TestGradcheck:

@@ -205,19 +205,19 @@ class TestPreprocess:
         keep = make_star(12)
         too_small = make_star(5)
         disconnected = Graph(12, tuple((i, i + 1) for i in range(5)))
-        out = preprocess([keep, too_small, disconnected], min_nodes=10)
+        out = preprocess([keep, too_small, disconnected], name="tu", min_nodes=10)
         assert len(out) == 1
         assert out[0].graph == keep
         assert abs(out[0].target - ipr(power_iteration(keep).pev)) < 1e-12
 
     def test_idempotent(self):
         graphs = [make_star(12), make_er(15, 0.4, seed=3)]
-        once = preprocess(graphs, min_nodes=10)
-        twice = preprocess(once, min_nodes=10)
+        once = preprocess(graphs, name="tu", min_nodes=10)
+        twice = preprocess(once, name="tu", min_nodes=10)
         assert once == twice
 
     def test_family_tag(self):
-        out = preprocess([make_star(12)], name="enzymes")
+        out = preprocess([make_star(12)], name="enzymes", min_nodes=10)
         assert out[0].family == "enzymes"
 
 
@@ -268,7 +268,7 @@ class TestSaveLoad:
         train, _ = build_synthetic(spec)
         save_dataset(train, tmp_path / "ds", spec=spec)
         loaded, _ = load_dataset(tmp_path / "ds", verify=True)
-        preprocess(loaded)
+        preprocess(loaded, name="tu", min_nodes=10)
         assert feature_builds == []
 
     def test_manifest_text_is_pinned(self, tmp_path):
@@ -450,6 +450,20 @@ class TestSaveLoad:
         path.write_text(edit(path.read_text()))
         with pytest.raises(DatasetFormatError, match=pattern):
             load_dataset(tmp_path / "ds")
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_target_names_file_and_line(self, tmp_path, text):
+        # Item 1 is not among the every-20th items that verify re-labels.
+        items, _ = build_synthetic(small_spec(train_count=3, test_count=0))
+        save_dataset(items, tmp_path / "ds")
+        csv = tmp_path / "ds" / "targets.csv"
+        rows = csv.read_text().splitlines()
+        cells = rows[2].split(",")
+        rows[2] = ",".join([cells[0], text, *cells[2:]])
+        csv.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value) == f"{tmp_path / 'ds'}/targets.csv:3: target must be a finite number, got {text!r}"
 
     def test_count_mismatch(self, tmp_path):
         items, _ = build_synthetic(small_spec(train_count=3, test_count=0))

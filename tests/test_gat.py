@@ -83,7 +83,7 @@ class TestPrepare:
         ids=["cycle", "path", "star", "wheel", "er", "scale_free", "n1", "disconnected"],
     )
     def test_edge_arrays_match_per_node_loop(self, g):
-        inputs = GAT(d=7).prepare(g, np.zeros((g.n, 7)))
+        inputs = GAT(d=7, heads=4, f1=16, f2=64, dropout=0.6).prepare(g, np.zeros((g.n, 7)))
         expected = attention_neighborhoods(adjacency_lists(g))
         for name, want in zip(("tgt", "nbr", "starts"), expected):
             got = getattr(inputs, name)
@@ -188,7 +188,7 @@ class TestForward:
 
     def test_dropout_validation(self):
         with pytest.raises(ValueError, match="dropout"):
-            GAT(dropout=1.0)
+            GAT(d=7, heads=4, f1=16, f2=64, dropout=1.0)
 
 
 class TestSoftmaxJacobian:

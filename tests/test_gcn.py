@@ -58,7 +58,7 @@ class TestForward:
         assert yhat == pytest.approx(float(acts.z @ params["w_lin"][:, 0] + params["b"]))
 
     def test_prepare_validates_feature_shape(self):
-        model = GCN(d=7)
+        model = GCN(d=7, k0=64, k1=64, k2=64)
         with pytest.raises(ValueError, match="features"):
             model.prepare(make_star(5), np.zeros((5, 6)))
 
@@ -71,7 +71,7 @@ class TestForward:
 
     def test_width_validation(self):
         with pytest.raises(ValueError, match="widths"):
-            GCN(d=0)
+            GCN(d=0, k0=64, k1=64, k2=64)
 
 
 class TestLayerLoop:

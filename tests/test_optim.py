@@ -22,6 +22,11 @@ class TestGradientDescent:
         with pytest.raises(ValueError, match="learning rate"):
             GradientDescent(lr=0.0)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_lr_rejected(self, lr):
+        with pytest.raises(ValueError, match=f"^learning rate must be finite, got {lr}$"):
+            GradientDescent(lr=lr)
+
 
 class TestAdam:
     def test_first_step_hand_unrolled(self):
@@ -29,14 +34,14 @@ class TestAdam:
         # no matter the starting parameter value.
         lr = 0.01
         params = {"w": np.array([5.0])}
-        Adam(lr=lr).step(params, {"w": np.array([1.0])})
+        Adam(lr=lr, weight_decay=0.0).step(params, {"w": np.array([1.0])})
         expected = 5.0 - lr / (1.0 + 1e-8)
         np.testing.assert_allclose(params["w"], [expected], rtol=0, atol=1e-16)
 
     def test_two_steps_hand_unrolled(self):
         lr, b1, b2, eps = 0.1, 0.9, 0.999, 1e-8
         params = {"w": np.array([0.0])}
-        opt = Adam(lr=lr)
+        opt = Adam(lr=lr, weight_decay=0.0)
         g1, g2 = 1.0, -0.5
         opt.step(params, {"w": np.array([g1])})
         opt.step(params, {"w": np.array([g2])})
@@ -51,7 +56,7 @@ class TestAdam:
 
     def test_zero_gradient_is_fixed_point(self):
         params = {"w": np.array([3.0, -2.0])}
-        opt = Adam(lr=0.5)
+        opt = Adam(lr=0.5, weight_decay=0.0)
         for _ in range(5):
             opt.step(params, zero_grads(params))
         np.testing.assert_array_equal(params["w"], [3.0, -2.0])
@@ -64,7 +69,7 @@ class TestAdam:
 
     def test_quadratic_convergence(self):
         params = {"w": np.array([10.0])}
-        opt = Adam(lr=0.3)
+        opt = Adam(lr=0.3, weight_decay=0.0)
         for _ in range(400):
             opt.step(params, {"w": 2.0 * params["w"]})
         assert abs(params["w"][0]) < 1e-3
@@ -73,8 +78,22 @@ class TestAdam:
         with pytest.raises(ValueError, match="decay"):
             Adam(lr=0.1, weight_decay=-1.0)
 
+    @pytest.mark.parametrize(
+        "lr, weight_decay, reason",
+        [
+            (float("nan"), 0.0, "learning rate must be finite, got nan"),
+            (float("inf"), 0.0, "learning rate must be finite, got inf"),
+            (0.1, float("nan"), "weight decay must be finite, got nan"),
+            (0.1, float("inf"), "weight decay must be finite, got inf"),
+        ],
+        ids=["lr-nan", "lr-inf", "decay-nan", "decay-inf"],
+    )
+    def test_non_finite_rejected(self, lr, weight_decay, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            Adam(lr=lr, weight_decay=weight_decay)
+
     def test_shape_mismatch_rejected(self):
-        opt = Adam(lr=0.1)
+        opt = Adam(lr=0.1, weight_decay=0.0)
         with pytest.raises(ValueError, match="shape mismatch"):
             opt.step({"w": np.zeros(3)}, {"w": np.zeros(2)})
         with pytest.raises(KeyError, match="unknown parameter"):
@@ -96,8 +115,8 @@ class TestAdamW:
         rng = np.random.default_rng(0)
         pa = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=2)}
         pw = {name: p.copy() for name, p in pa.items()}
-        oa = Adam(lr=0.05)
-        ow = AdamW(lr=0.05)
+        oa = Adam(lr=0.05, weight_decay=0.0)
+        ow = AdamW(lr=0.05, weight_decay=0.0)
         for _ in range(20):
             grads = {name: rng.normal(size=p.shape) for name, p in pa.items()}
             oa.step(pa, grads)
@@ -115,8 +134,8 @@ class TestAdamW:
 
 class TestFactory:
     def test_kinds(self):
-        assert isinstance(make_optimizer("gd", 0.1), GradientDescent)
-        assert isinstance(make_optimizer("adam", 0.1), Adam)
+        assert isinstance(make_optimizer("gd", 0.1, 0.0), GradientDescent)
+        assert isinstance(make_optimizer("adam", 0.1, 0.0), Adam)
         opt = make_optimizer("adamw", 0.1, weight_decay=0.01)
         assert isinstance(opt, AdamW)
         assert opt.weight_decay == 0.01
@@ -127,4 +146,4 @@ class TestFactory:
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown optimizer"):
-            make_optimizer("sgd-momentum", 0.1)
+            make_optimizer("sgd-momentum", 0.1, 0.0)

@@ -207,6 +207,11 @@ class TestClassifyRegion:
         regions = [int(classify_region(float(y))) for y in ys]
         assert all(a <= b for a, b in zip(regions, regions[1:]))
 
+    @pytest.mark.parametrize("y", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"])
+    def test_non_finite_ipr_has_no_region(self, y):
+        with pytest.raises(ValueError, match=f"^IPR must be finite, got {y}$"):
+            classify_region(y)
+
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
             RegionThresholds(tau1=0.3, tau2=0.2)

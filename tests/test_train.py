@@ -51,6 +51,20 @@ class TestTrainConfig:
         cfg = tiny_config(batch_size=32)
         assert TrainConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
+    @pytest.mark.parametrize(
+        "field, value, reason",
+        [
+            ("lr", float("nan"), "learning rate must be finite, got nan"),
+            ("lr", float("inf"), "learning rate must be finite, got inf"),
+            ("weight_decay", float("nan"), "weight decay must be finite, got nan"),
+            ("weight_decay", float("inf"), "weight decay must be finite, got inf"),
+        ],
+        ids=["lr-nan", "lr-inf", "decay-nan", "decay-inf"],
+    )
+    def test_non_finite_rate_rejected(self, field, value, reason):
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            TrainConfig(**{field: value})
+
     def test_validation(self):
         with pytest.raises(ValueError, match="model"):
             TrainConfig(model="mlp")
@@ -152,7 +166,7 @@ class TestTrainLoop:
         # Each graph's backward runs right after its forward, so a batch
         # holds one graph's activations at a time, not the whole batch's.
         items = tiny_items(train_count=50, families=("er", "scale_free"), size_range=(30, 40))
-        model = GAT()
+        model = build_model(TrainConfig(model="gat"))
         params = model.init_params(0)
         inputs = [model.prepare(it.graph, it.features) for it in items]
         targets = np.array([it.target for it in items])
@@ -205,12 +219,6 @@ class TestEvaluate:
         report = evaluate(model, params, items)
         expected = float(np.mean((report.predictions - report.targets) ** 2))
         assert report.mse == pytest.approx(expected, rel=1e-12)
-
-    def test_runtime_recorded_but_not_compared(self):
-        items = tiny_items(train_count=2)
-        model, params = constant_predictor(0.1)
-        a = evaluate(model, params, items)
-        assert a.runtime_s > 0.0
 
 
 class TestArtifacts:
@@ -298,7 +306,7 @@ class TestGradientCheck:
 
     def test_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
-            gradient_check("mlp")
+            gradient_check("mlp", seed=0)
 
 
 class TestKinkGap:

@@ -46,11 +46,16 @@ def _add_threshold_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--epsilon", type=float, help="threshold margin")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _batch_size(text: str) -> int | None:
@@ -181,7 +186,8 @@ def _cmd_eval(args) -> int:
     model, params, _ = load_checkpoint(args.checkpoint)
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
     t0 = time.perf_counter()
-    report = evaluate(model, params, items, thresholds)
+    with _naming(args.checkpoint):
+        report = evaluate(model, params, items, thresholds)
     write_eval_report(report, args.out)
     _emit(
         {
@@ -279,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of model gradients")
     p.add_argument("--model", choices=("gcn", "gat"), default="gcn")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--seeds", type=_positive_int, default=5, help="number of consecutive seeds to check")
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--seeds", type=_int_at_least(1), default=5, help="number of consecutive seeds to check")
     p.set_defaults(func=_cmd_gradcheck)
 
     return parser

@@ -107,6 +107,8 @@ class DatasetSpec:
                 raise ValueError(f"unknown family {fam!r}; choose from {FAMILIES}")
         if self.train_count < 0 or self.test_count < 0:
             raise ValueError("counts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.sf_m < 1:
             raise ValueError(f"scale_free attachment count must be >= 1, got {self.sf_m}")
         if not 0.0 < self.er_mean_degree < math.inf:
@@ -224,24 +226,21 @@ def _read_pair_file(path: Path) -> list[tuple[int, int, int]]:
 def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Graph]:
     """Parse a TU-format graph collection (DS_A.txt + DS_graph_indicator.txt).
 
+    ``name`` picks the DS that equals it in any case; None picks the only one.
     Node ids and graph ids in the files are 1-indexed; each graph comes back
     as a simple undirected 0-indexed :class:`Graph` (duplicate directions are
     merged, self loops dropped). Raw graphs may be disconnected; run
     :func:`preprocess` to filter and label them.
     """
     directory = Path(directory)
-    if name is None:
-        candidates = sorted(directory.glob("*_A.txt"))
-        if len(candidates) != 1:
-            raise ParseError(
-                f"{directory}: expected exactly one *_A.txt file, found {len(candidates)}"
-            )
-        name = candidates[0].name[: -len("_A.txt")]
-    a_path = directory / f"{name}_A.txt"
-    ind_path = directory / f"{name}_graph_indicator.txt"
-    for p in (a_path, ind_path):
-        if not p.is_file():
-            raise ParseError(f"{p}: file not found")
+    stems = [p.name[: -len("_A.txt")] for p in sorted(directory.glob("*_A.txt"))]
+    stems = [s for s in stems if name is None or s.casefold() == name.casefold()]
+    if len(stems) != 1:
+        raise ParseError(f"{directory}: expected exactly one {name or '*'}_A.txt file, found {len(stems)}")
+    a_path = directory / f"{stems[0]}_A.txt"
+    ind_path = directory / f"{stems[0]}_graph_indicator.txt"
+    if not ind_path.is_file():
+        raise ParseError(f"{ind_path}: file not found")
 
     node_graph: dict[int, int] = {}
     with ind_path.open(encoding="utf-8") as fh:
@@ -262,13 +261,13 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
         raise ParseError(f"{ind_path}: no nodes listed")
 
     n_graphs = max(node_graph.values())
-    members: list[list[int]] = [[] for _ in range(n_graphs)]
-    for node in sorted(node_graph):
-        members[node_graph[node] - 1].append(node)
+    sizes = [0] * n_graphs
     local_index = {}
-    for gid0, nodes in enumerate(members):
-        for k, node in enumerate(nodes):
-            local_index[node] = k
+    for node, gid in node_graph.items():  # in node id order
+        local_index[node] = sizes[gid - 1]
+        sizes[gid - 1] += 1
+    if 0 in sizes:
+        raise ParseError(f"{ind_path}: graph id {sizes.index(0) + 1} has no nodes")
 
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
     for u, v, line_no in _read_pair_file(a_path):
@@ -285,7 +284,7 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
         i, j = local_index[u], local_index[v]
         edge_sets[node_graph[u] - 1].add((min(i, j), max(i, j)))
 
-    return [Graph(len(members[k]), tuple(sorted(edge_sets[k]))) for k in range(n_graphs)]
+    return [Graph(sizes[k], tuple(sorted(edge_sets[k]))) for k in range(n_graphs)]
 
 
 def preprocess(graphs, name: str, min_nodes: int) -> list[LabeledGraph]:

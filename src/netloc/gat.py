@@ -11,14 +11,14 @@ standard recipe: for j in N(i) plus the self loop,
 In train mode, dropout is applied to each layer's input features and to the
 normalized attention weights; eval mode is deterministic.
 
-Neighborhoods are flattened into one directed edge array grouped by target
-node, so the softmax is a numpy segment operation rather than a per-node loop.
-Aggregation then propagates through the attention matrix, as GCN does through
-its normalized adjacency: the weights are scattered into a dense
-``(heads, n, n)`` matrix P, and ``P @ Wh`` is one batched matmul per layer, at
-O(heads * n^2 * f) per graph. Layer 1's heads run stacked as one
-``(n, heads, f1)`` tensor through the same attention sublayer that layer 2
-runs with one head.
+Neighborhoods are the graph's self-looped pairs, ``Graph.loops``, grouped by
+target node, so the softmax is a numpy segment operation rather than a
+per-node loop. Aggregation then propagates through the attention matrix, as
+GCN does through its normalized adjacency, which is built on the same pairs:
+``Graph.dense`` scatters the weights into a dense ``(heads, n, n)`` matrix P,
+and ``P @ Wh`` is one batched matmul per layer, at O(heads * n^2 * f) per
+graph. Layer 1's heads run stacked as one ``(n, heads, f1)`` tensor through
+the same attention sublayer that layer 2 runs with one head.
 """
 
 from __future__ import annotations
@@ -36,28 +36,20 @@ __all__ = ["GatInputs", "GatActivations", "GAT"]
 
 @dataclass
 class GatInputs:
-    """Flattened self-looped neighborhoods of one graph.
+    """One graph's features and its self-looped neighborhoods, ``graph.loops``.
 
     ``tgt``/``nbr`` list every directed pair (i attends to j) grouped by i,
     and ``starts`` holds each node's segment start. The segment softmax and
-    the attention dropout run over these pairs; the weights are then
-    scattered to ``P[:, tgt, nbr]`` of a dense ``(heads, n, n)`` attention
-    matrix, so aggregation costs O(heads * n^2 * f) whatever the edge count.
+    the attention dropout run over these pairs; ``graph.dense`` then places
+    the weights in a dense ``(heads, n, n)`` attention matrix, so aggregation
+    costs O(heads * n^2 * f) whatever the edge count.
     """
 
-    n: int
+    graph: Graph
     h0: np.ndarray
     tgt: np.ndarray
     nbr: np.ndarray
     starts: np.ndarray
-
-
-def _scatter(values: np.ndarray, inputs: GatInputs) -> np.ndarray:
-    """Edge values ``(E, heads)`` as a dense ``(heads, n, n)`` matrix at ``(tgt, nbr)``."""
-    p = np.zeros((values.shape[1], inputs.n, inputs.n))
-    # The pairs are unique, so assignment needs no accumulation.
-    p[:, inputs.tgt, inputs.nbr] = values.T
-    return p
 
 
 @dataclass
@@ -145,15 +137,7 @@ class GAT(GraphRegressor):
         return params
 
     def prepare(self, graph: Graph, h0: np.ndarray) -> GatInputs:
-        h0 = self._checked_features(graph, h0)
-        n = graph.n
-        indptr, indices = graph.csr
-        node = np.arange(n)
-        # Insert the self loops, then order the pairs by (target, neighbor).
-        tgt = np.concatenate([graph.csr_rows, node])
-        nbr = np.concatenate([indices, node])
-        order = np.lexsort((nbr, tgt))
-        return GatInputs(n=n, h0=h0, tgt=tgt[order], nbr=nbr[order], starts=indptr[:-1] + node)
+        return GatInputs(graph, self._checked_features(graph, h0), *graph.loops)
 
     def _attend(self, wh, a, inputs: GatInputs, train: bool, rng, keep: float) -> AttnCache:
         """Attention sublayer over ``wh`` of shape (n, heads, f), ``a`` of shape (heads, 2f)."""
@@ -173,7 +157,7 @@ class GAT(GraphRegressor):
         else:
             amask = None
             alpha_used = alpha
-        p = _scatter(alpha_used, inputs)
+        p = inputs.graph.dense(alpha_used.T)
         s = np.matmul(p, wh.transpose(1, 0, 2)).transpose(1, 0, 2)
         return AttnCache(wh=wh, pre=pre, alpha=alpha, amask=amask, p=p, s=s)
 
@@ -189,7 +173,7 @@ class GAT(GraphRegressor):
         # Softmax Jacobian per neighborhood: de = alpha * (dalpha - <alpha, dalpha>).
         seg_dot = np.add.reduceat(cache.alpha * dalpha, starts)
         de = cache.alpha * (dalpha - seg_dot[tgt])
-        dpre = _scatter(de * leaky_relu_grad(cache.pre), inputs)
+        dpre = inputs.graph.dense((de * leaky_relu_grad(cache.pre)).T)
         # pre = u[tgt] + v[nbr]: u collects the rows of dpre, v its columns.
         du, dv = dpre.sum(axis=2).T, dpre.sum(axis=1).T
         f = cache.wh.shape[2]
@@ -202,7 +186,7 @@ class GAT(GraphRegressor):
             raise ValueError("train-mode forward needs an rng for dropout")
         keep = 1.0 - self.dropout
         drop = train and self.dropout > 0.0
-        n = inputs.n
+        n = inputs.graph.n
         h0d = inputs.h0 * (rng.random(inputs.h0.shape) < keep) / keep if drop else inputs.h0
         w1 = np.concatenate([params[k] for k in self._w1_names], axis=1)
         a1 = np.stack([params[k] for k in self._a1_names])
@@ -218,7 +202,7 @@ class GAT(GraphRegressor):
     def backward(self, params, acts: GatActivations, dy: float) -> dict[str, np.ndarray]:
         inputs = acts.inputs
         keep = 1.0 - self.dropout
-        n = inputs.n
+        n = inputs.graph.n
         grads, dh2 = self._readout_backward(params, acts.z, n, dy)
         ds2 = relu_grad(acts.layer2.s) * dh2
         dwh2, da2 = self._attend_backward(acts.layer2, params["a2"][None, :], ds2, inputs, keep)

@@ -79,14 +79,25 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return np.diff(self.csr[0])
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Dense symmetric 0/1 adjacency matrix, float64."""
-        a = np.zeros((self.n, self.n), dtype=np.float64)
-        if self.edges:
-            e = np.asarray(self.edges, dtype=np.int64)
-            a[e[:, 0], e[:, 1]] = 1.0
-            a[e[:, 1], e[:, 0]] = 1.0
-        return a
+    @cached_property
+    def loops(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs (i, j) of A + I as int64 arrays ``(tgt, nbr, starts)``.
+
+        Sorted by target, then neighbour; node i's run starts at ``starts[i]``.
+        """
+        indptr, indices = self.csr
+        node = np.arange(self.n)
+        tgt = np.concatenate([self.csr_rows, node])
+        nbr = np.concatenate([indices, node])
+        order = np.lexsort((nbr, tgt))
+        return tgt[order], nbr[order], indptr[:-1] + node
+
+    def dense(self, values: np.ndarray) -> np.ndarray:
+        """``(..., n, n)`` float64 array, ``values[..., k]`` at the k-th pair of :attr:`loops` and 0 elsewhere."""
+        tgt, nbr, _ = self.loops
+        out = np.zeros(np.shape(values)[:-1] + (self.n, self.n))
+        out[..., tgt, nbr] = values
+        return out
 
 
 def _normalize_edges(pairs) -> tuple[tuple[int, int], ...]:

@@ -40,10 +40,9 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     D is the degree matrix of A + I, so every row has positive degree and the
     result is symmetric with leading eigenvalue exactly 1.
     """
-    a = g.adjacency_matrix()
-    a[np.diag_indices(g.n)] += 1.0
-    d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
-    return a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
+    tgt, nbr, _ = g.loops
+    d_inv_sqrt = 1.0 / np.sqrt(g.degrees + 1)
+    return g.dense(d_inv_sqrt[tgt] * d_inv_sqrt[nbr])
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -71,7 +71,7 @@ class GraphRegressor:
         return {"w_lin": dy * z[:, None], "b": np.array(dy)}, dz / n
 
     def predict(self, params, inputs_list) -> np.ndarray:
-        """Eval-mode predictions for a list of prepared graphs."""
+        """Eval-mode predictions for an iterable of prepared graphs."""
         return np.array([self.forward(params, inp)[0] for inp in inputs_list])
 
     def batch_step(

@@ -168,7 +168,8 @@ def power_iteration(g: Graph, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_
 
 def _dense_top_eigenpair(g: Graph) -> tuple[float, np.ndarray, float]:
     """Top eigenvalue, its eigenvector and their residual, from one dense ``eigh``."""
-    a = g.adjacency_matrix()
+    tgt, nbr, _ = g.loops
+    a = g.dense(1.0 * (tgt != nbr))
     vals, vecs = np.linalg.eigh(a)
     lam, u = float(vals[-1]), vecs[:, -1].copy()
     r = a @ u - lam * u
@@ -211,8 +212,8 @@ def integrate_dynamics(g: Graph, params: DynamicsParams = DynamicsParams()) -> n
     """
     if not is_connected(g):
         raise ValueError("dynamics integration needs a connected graph")
-    m = params.beta * g.adjacency_matrix()
-    m[np.diag_indices(g.n)] += params.alpha
+    tgt, nbr, _ = g.loops
+    m = g.dense(np.where(tgt == nbr, params.alpha, params.beta))
     if params.x0 is None:
         x = np.full(g.n, 1.0 / np.sqrt(g.n))
     else:

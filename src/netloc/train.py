@@ -82,6 +82,8 @@ class TrainConfig:
         make_optimizer(self.optimizer, self.lr, self.weight_decay)
         if self.epochs < 0:
             raise ValueError(f"epochs must be nonnegative, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be positive or null, got {self.batch_size}")
 
@@ -197,23 +199,23 @@ def evaluate(
     """Eval-mode predictions with MSE, region accuracy, and a 3x3 confusion matrix.
 
     Confusion rows are true regions expressed as percentages summing to 100
-    (rows with no members stay zero).
+    (rows with no members stay zero). A non-finite prediction raises
+    ValueError naming its item, without a numpy warning.
     """
     if not items:
         raise ValueError("cannot evaluate an empty dataset")
-    prepared = [model.prepare(it.graph, it.features) for it in items]
-    preds = model.predict(params, prepared)
+    with np.errstate(over="ignore", invalid="ignore"):
+        preds = model.predict(params, (model.prepare(it.graph, it.features) for it in items))
+    for i in np.flatnonzero(~np.isfinite(preds)):
+        it = items[i]
+        raise ValueError(f"item {i} ({it.family}, n={it.graph.n}): prediction is {preds[i]}")
     targets = np.array([it.target for it in items])
     true_r = np.array([int(classify_region(t, thresholds)) for t in targets])
     pred_r = np.array([int(classify_region(p, thresholds)) for p in preds])
     counts = np.zeros((3, 3), dtype=np.int64)
-    for tr, pr in zip(true_r, pred_r):
-        counts[tr - 1, pr - 1] += 1
-    confusion = np.zeros((3, 3))
-    for row in range(3):
-        total = counts[row].sum()
-        if total > 0:
-            confusion[row] = 100.0 * counts[row] / total
+    np.add.at(counts, (true_r - 1, pred_r - 1), 1)
+    # A row with no members divides its zeros by 1 and stays zero.
+    confusion = 100.0 * counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     return EvalReport(
         count=len(items),
         mse=loss(preds, targets),
@@ -276,11 +278,6 @@ def write_eval_report(report: EvalReport, directory: str | Path) -> None:
     )
 
 
-def _batch_loss(model: GraphRegressor, params, prepared, targets, kind: LossKind) -> float:
-    preds = model.predict(params, prepared)
-    return loss(preds, targets, kind)
-
-
 def gradient_check(model_kind: str, seed: int) -> float:
     """Max relative error between analytic and central-difference gradients.
 
@@ -323,9 +320,9 @@ def gradient_check(model_kind: str, seed: int) -> float:
             for idx in np.ndindex(p.shape):
                 orig = p[idx]
                 p[idx] = orig + _GRADCHECK_H
-                lp = _batch_loss(model, params, prepared, targets, LossKind("mse"))
+                lp = loss(model.predict(params, prepared), targets)
                 p[idx] = orig - _GRADCHECK_H
-                lm = _batch_loss(model, params, prepared, targets, LossKind("mse"))
+                lm = loss(model.predict(params, prepared), targets)
                 p[idx] = orig
                 numeric = (lp - lm) / (2.0 * _GRADCHECK_H)
                 analytic = float(grads[name][idx])

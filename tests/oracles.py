@@ -58,6 +58,14 @@ def principal_eigenpair(a: np.ndarray) -> tuple[float, np.ndarray]:
     return float(vals[-1]), vec
 
 
+def adjacency_matrix(g) -> np.ndarray:
+    """Dense symmetric 0/1 adjacency matrix, float64, built from ``g.edges``."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
 def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples, one per node, built from ``g.edges``."""
     adj: list[list[int]] = [[] for _ in range(g.n)]

@@ -138,6 +138,8 @@ class TestConfigFile:
                 "size range starts at 5, but these families need n >= 8",
             ),
             ("train", "[1]", ": ", "expected a JSON object, got list"),
+            ("generate", '{"seed": -5}', ": ", "seed must be nonnegative, got -5"),
+            ("train", '{"seed": -1}', ": ", "seed must be nonnegative, got -1"),
         ],
         ids=[
             "generate-key", "generate-syntax", "generate-value", "train-key", "train-syntax", "train-value",
@@ -145,6 +147,7 @@ class TestConfigFile:
             "train-float", "train-int", "train-bool", "train-str", "train-optional",
             "train-optimizer", "train-lr", "train-dropout", "train-width", "train-gd-decay",
             "generate-label-tol", "generate-label-max-iter", "generate-er-range", "train-list",
+            "generate-seed", "train-seed",
         ],
     )
     def test_errors_name_the_file(self, tmp_path, capsys, command, text, where, reason):
@@ -182,6 +185,16 @@ class TestConfigFile:
         code, out, err = run(capsys, argv + [flag, value])
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": reason, "type": "ValueError"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["generate", "train"])
+    def test_negative_seed_flag_rejected_before_any_work(self, tmp_path, capsys, command):
+        argv = [command, "--out", str(tmp_path / "out"), "--seed", "-5"]
+        if command == "train":
+            argv += ["--data", str(tmp_path / "nope")]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": "seed must be nonnegative, got -5", "type": "ValueError"}
         assert not (tmp_path / "out").exists()
 
     def test_empty_families_rejected(self, tmp_path, capsys):
@@ -315,6 +328,29 @@ class TestCheckpointFile:
         assert blob["error"].startswith(f"{path}: ")
         assert reason in blob["error"]
         assert blob["error"].count(str(path)) == 1
+
+    def test_overflowing_prediction_names_checkpoint_and_item(self, tmp_path, capsys):
+        # A saved GCN with saturated head weights: the cycle's all-zero
+        # features keep its readout at b, the star's overflow it.
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle,star", "--train-count", "2"]
+        assert run(capsys, argv + ["--test-count", "2", "--train-sizes", "12", "14", "--test-sizes", "12", "14"])[0] == 0
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--epochs", "0"]
+        assert run(capsys, argv)[0] == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        blob = json.loads(path.read_text())
+        for name in ("w_lin", "b"):
+            blob["params"][name]["data"] = [1e308] * len(blob["params"][name]["data"])
+        path.write_text(json.dumps(blob))
+        n_star = int((data_dir / "test" / "targets.csv").read_text().splitlines()[2].split(",")[3])
+        argv = ["eval", "--checkpoint", str(path), "--data", str(data_dir / "test"), "--out", str(tmp_path / "out")]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": f"{path}: item 1 (star, n={n_star}): prediction is inf",
+            "type": "ValueError",
+        }
+        assert not (tmp_path / "out").exists()
 
     def test_nan_epsilon_is_json_error(self, tmp_path, capsys):
         path = self.write_checkpoint(tmp_path, lambda b: None)
@@ -454,6 +490,17 @@ class TestIngestTu:
             assert manifest["name"] == "tu"
             assert all(it.family == "tu" for it in items)
 
+    def test_name_in_any_case_finds_the_files_and_tags_as_given(self, tmp_path, capsys):
+        from netloc.data import load_dataset
+
+        self.write_rings(tmp_path / "raw")
+        code, _, err = run(capsys, ["ingest-tu", str(tmp_path / "raw"), "--out", str(tmp_path / "ds"), "--name", "rings"])
+        assert code == 0, err
+        items, manifest = load_dataset(tmp_path / "ds")
+        assert [it.graph.n for it in items] == [12, 12]
+        assert manifest["name"] == "rings"
+        assert all(it.family == "rings" for it in items)
+
 
 class TestGradcheck:
     def test_exit_zero_within_tolerance(self, capsys):
@@ -461,6 +508,12 @@ class TestGradcheck:
         assert code == 0
         blob = json.loads(out)
         assert blob["max_rel_err"] < 1e-4
+
+    def test_negative_seed_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gradcheck", "--seed", "-1"])
+        assert info.value.code == 2
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seeds", ["0", "-3"])
     def test_seeds_below_one_exit_2(self, capsys, seeds):

@@ -48,6 +48,10 @@ class TestDatasetSpec:
         with pytest.raises(ValueError, match="nonnegative"):
             small_spec(train_count=-1)
 
+    def test_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -5$"):
+            small_spec(seed=-5)
+
     @pytest.mark.parametrize(
         "overrides, reason",
         [
@@ -145,6 +149,19 @@ class TestIngestTu:
         with pytest.raises(ParseError, match="exactly one"):
             ingest_tu_dataset(tmp_path)
         assert len(ingest_tu_dataset(tmp_path, name="A1")) == 2
+
+    def test_name_matches_the_file_stem_regardless_of_case(self, tmp_path):
+        write_tu_fixture(tmp_path / "tu2", name="ENZ")
+        write_tu_fixture(tmp_path / "tu2", name="OTHER")
+        for name in ("ENZ", "enz", "Enz"):
+            assert len(ingest_tu_dataset(tmp_path / "tu2", name=name)) == 2
+        with pytest.raises(ParseError, match=r"tu2: expected exactly one enzymes_A\.txt file, found 0"):
+            ingest_tu_dataset(tmp_path / "tu2", name="enzymes")
+
+    def test_graph_id_without_nodes_names_the_indicator(self, tmp_path):
+        write_tu_fixture(tmp_path, a_lines=["1, 2", "3, 4"], ind_lines=["1", "1", "3", "3"])
+        with pytest.raises(ParseError, match=r"TOY_graph_indicator\.txt: graph id 2 has no nodes"):
+            ingest_tu_dataset(tmp_path)
 
     def test_self_loops_dropped(self, tmp_path):
         write_tu_fixture(

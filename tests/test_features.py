@@ -18,6 +18,7 @@ from netloc.graphs import Graph, is_connected, make_cycle, make_er, make_path, m
 
 from oracles import (
     adjacency_lists,
+    adjacency_matrix,
     avg_neighbor_degree_dense,
     betweenness_by_enumeration,
     closeness_by_bfs,
@@ -121,12 +122,12 @@ class TestPagerank:
 
     def test_path3_matches_solve_oracle(self):
         g = make_path(3)
-        np.testing.assert_allclose(pagerank(g), pagerank_by_solve(g.adjacency_matrix()), atol=1e-9)
+        np.testing.assert_allclose(pagerank(g), pagerank_by_solve(adjacency_matrix(g)), atol=1e-9)
 
     def test_random_matches_solve_oracle(self):
         for seed in range(4):
             g = random_connected(15, 0.25, seed=10 * seed)
-            np.testing.assert_allclose(pagerank(g), pagerank_by_solve(g.adjacency_matrix()), atol=1e-8)
+            np.testing.assert_allclose(pagerank(g), pagerank_by_solve(adjacency_matrix(g)), atol=1e-8)
 
     def test_star_hub_dominates(self):
         p = pagerank(make_star(20))
@@ -244,7 +245,7 @@ class TestCsrColumns:
 
     def test_clustering_and_neighbor_degree_bit_equal_dense(self):
         for g in csr_column_graphs():
-            a = g.adjacency_matrix()
+            a = adjacency_matrix(g)
             np.testing.assert_array_equal(clustering_coefficient(g), clustering_dense(a))
             np.testing.assert_array_equal(avg_neighbor_degree(g), avg_neighbor_degree_dense(a))
 
@@ -254,21 +255,21 @@ class TestCsrColumns:
         for budget in (1, 50):
             monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
             for g in graphs:
-                np.testing.assert_array_equal(clustering_coefficient(g), clustering_dense(g.adjacency_matrix()))
+                np.testing.assert_array_equal(clustering_coefficient(g), clustering_dense(adjacency_matrix(g)))
 
     def test_pagerank_matches_dense_iteration(self):
         # Only the summation order differs from the dense matvec.
         for g in csr_column_graphs():
             if g.n > 1 and g.degrees.min() > 0:
-                np.testing.assert_allclose(pagerank(g), pagerank_dense(g.adjacency_matrix()), rtol=4e-15, atol=0.0)
+                np.testing.assert_allclose(pagerank(g), pagerank_dense(adjacency_matrix(g)), rtol=4e-15, atol=0.0)
 
     def test_feature_pass_builds_no_dense_adjacency(self, monkeypatch):
         graphs = [g for n in (4, 60) for g in six_families(n, seed=n).values()]
 
-        def refuse(self):
+        def refuse(self, values):
             raise AssertionError("the feature pass built a dense adjacency")
 
-        monkeypatch.setattr(Graph, "adjacency_matrix", refuse)
+        monkeypatch.setattr(Graph, "dense", refuse)
         for g in graphs:
             assert build_feature_matrix(g).shape == (g.n, len(FEATURE_COLUMNS))
 

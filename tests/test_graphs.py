@@ -17,7 +17,7 @@ from netloc.graphs import (
     write_edgelist,
 )
 
-from oracles import principal_eigenpair
+from oracles import adjacency_lists, adjacency_matrix, attention_neighborhoods, principal_eigenpair
 
 
 class TestGraphContainer:
@@ -46,10 +46,40 @@ class TestGraphContainer:
 
     def test_adjacency_symmetric_zero_diag(self):
         g = make_wheel(9)
-        a = g.adjacency_matrix()
+        a = adjacency_matrix(g)
         assert np.array_equal(a, a.T)
         assert np.all(np.diag(a) == 0.0)
         assert a.sum() == 2 * g.m
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            make_cycle(7),
+            make_path(6),
+            make_star(9),
+            make_wheel(8),
+            make_er(30, 0.2, seed=4),
+            make_scale_free(25, 2, seed=3),
+            Graph(1),
+            Graph(6, ((0, 1), (0, 2), (3, 5))),
+        ],
+        ids=["cycle", "path", "star", "wheel", "er", "scale_free", "n1", "disconnected"],
+    )
+    def test_loops_match_per_node_loop(self, g):
+        expected = attention_neighborhoods(adjacency_lists(g))
+        for name, got, want in zip(("tgt", "nbr", "starts"), g.loops, expected):
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
+
+    def test_dense_places_each_pair_once(self):
+        g = make_wheel(9)
+        tgt, nbr, _ = g.loops
+        np.testing.assert_array_equal(g.dense(np.ones(tgt.size)), adjacency_matrix(g) + np.eye(g.n))
+        stacked = g.dense(np.stack([1.0 * (tgt != nbr), np.arange(1.0, tgt.size + 1)]))
+        assert stacked.shape == (2, g.n, g.n)
+        np.testing.assert_array_equal(stacked[0], adjacency_matrix(g))
+        assert np.count_nonzero(stacked[1]) == tgt.size
+        np.testing.assert_array_equal(stacked[1][tgt, nbr], np.arange(1.0, tgt.size + 1))
 
 
 class TestDeterministicFamilies:
@@ -86,7 +116,7 @@ class TestDeterministicFamilies:
 
     def test_cycle_200_principal_eigenvalue_is_two(self):
         # 2-regular graph: leading adjacency eigenvalue equals the degree.
-        lam, _ = principal_eigenpair(make_cycle(30).adjacency_matrix())
+        lam, _ = principal_eigenpair(adjacency_matrix(make_cycle(30)))
         assert abs(lam - 2.0) < 1e-10
 
 

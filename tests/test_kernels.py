@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from netloc.graphs import make_cycle, make_er, make_star, make_wheel
+from netloc.graphs import make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
 from netloc.kernels import (
     LOG_FLOOR,
     LOG_MSE,
@@ -20,7 +20,7 @@ from netloc.kernels import (
 
 from netloc.models import GraphRegressor
 
-from oracles import fd_gradient, principal_eigenpair, softmax
+from oracles import adjacency_matrix, fd_gradient, principal_eigenpair, softmax
 
 
 class TestMatmul:
@@ -67,6 +67,17 @@ class TestNormalizedAdjacency:
     def test_diagonal_positive(self):
         ahat = normalized_adjacency(make_star(6))
         assert np.all(np.diag(ahat) > 0)
+
+    @pytest.mark.parametrize(
+        "g",
+        [make_cycle(40), make_path(40), make_star(40), make_wheel(40), make_er(60, 0.1, seed=2), make_scale_free(60, 2, seed=5)],
+        ids=["cycle", "path", "star", "wheel", "er", "scale_free"],
+    )
+    def test_bit_equal_to_dense_formula(self, g):
+        # D^(-1/2) (A + I) D^(-1/2) with D the row sums of A + I, from the 0/1 matrix.
+        a = adjacency_matrix(g) + np.eye(g.n)
+        d_inv_sqrt = 1.0 / np.sqrt(a.sum(axis=1))
+        np.testing.assert_array_equal(normalized_adjacency(g), a * d_inv_sqrt[:, None] * d_inv_sqrt[None, :])
 
 
 class TestActivations:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,10 @@ class TestTrainConfig:
             TrainConfig(loss="mae")
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed must be nonnegative, got -1$"):
+            TrainConfig(seed=-1)
 
     def test_version_rejected(self):
         blob = tiny_config().to_dict()
@@ -179,7 +184,7 @@ class TestTrainLoop:
             finally:
                 tracemalloc.stop()
 
-        k = int(np.argmax([inp.n for inp in inputs]))
+        k = int(np.argmax([inp.graph.n for inp in inputs]))
         assert peak(inputs, targets) <= 2 * peak(inputs[k : k + 1], targets[k : k + 1])
 
 
@@ -219,6 +224,38 @@ class TestEvaluate:
         report = evaluate(model, params, items)
         expected = float(np.mean((report.predictions - report.targets) ** 2))
         assert report.mse == pytest.approx(expected, rel=1e-12)
+
+    def test_non_finite_prediction_names_the_item(self):
+        # Saturated head weights overflow the readout of the star, whose
+        # features are not all zero, but leave the cycle's zero readout finite.
+        items = tiny_items(train_count=2, families=("cycle", "star"), size_range=(24, 30))
+        model = GCN(d=7, k0=2, k1=2, k2=2)
+        params = {name: np.abs(p) for name, p in model.init_params(0).items()}
+        params["w_lin"][:] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^item 1 \(star, n={items[1].graph.n}\): prediction is inf$"):
+                evaluate(model, params, items)
+
+    def test_peak_memory_is_that_of_one_graph(self):
+        # Each graph is prepared as it is predicted, so only one graph's
+        # normalized adjacency is alive at a time.
+        items = tiny_items(train_count=24, size_range=(100, 140))
+        model, params = constant_predictor(0.1)
+        for it in items:
+            # Fill what the item and its graph cache, which outlives evaluate.
+            model.prepare(it.graph, it.features)
+
+        def peak(batch):
+            tracemalloc.start()
+            try:
+                evaluate(model, params, batch)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        k = int(np.argmax([it.graph.n for it in items]))
+        assert peak(items) <= 2 * peak(items[k : k + 1])
 
 
 class TestArtifacts:

@@ -11,14 +11,15 @@ standard recipe: for j in N(i) plus the self loop,
 In train mode, dropout is applied to each layer's input features and to the
 normalized attention weights; eval mode is deterministic.
 
-Neighborhoods are the graph's self-looped pairs, ``Graph.loops``, grouped by
-target node, so the softmax is a numpy segment operation rather than a
-per-node loop. Aggregation then propagates through the attention matrix, as
-GCN does through its normalized adjacency, which is built on the same pairs:
-``Graph.dense`` scatters the weights into a dense ``(heads, n, n)`` matrix P,
-and ``P @ Wh`` is one batched matmul per layer, at O(heads * n^2 * f) per
-graph. Layer 1's heads run stacked as one ``(n, heads, f1)`` tensor through
-the same attention sublayer that layer 2 runs with one head.
+``prepare`` returns ``(graph, h0)``. Neighborhoods are the graph's self-looped
+pairs, ``Graph.loops``, grouped by target node, so the softmax is a numpy
+segment operation rather than a per-node loop. Aggregation then propagates
+through the attention matrix, as GCN does through its normalized adjacency,
+which is built on the same pairs: ``Graph.dense`` scatters the weights into a
+dense ``(heads, n, n)`` matrix P, and ``P @ Wh`` is one batched matmul per
+layer, at O(heads * n^2 * f) per graph. Both layers run one loop over a table
+of (weight names, attention names): a layer's heads run stacked as one
+``(n, heads, f)`` tensor, and backward runs the same loop in reverse.
 """
 
 from __future__ import annotations
@@ -31,25 +32,7 @@ from .graphs import Graph
 from .kernels import glorot_init, leaky_relu, leaky_relu_grad, relu, relu_grad
 from .models import GraphRegressor
 
-__all__ = ["GatInputs", "GatActivations", "GAT"]
-
-
-@dataclass
-class GatInputs:
-    """One graph's features and its self-looped neighborhoods, ``graph.loops``.
-
-    ``tgt``/``nbr`` list every directed pair (i attends to j) grouped by i,
-    and ``starts`` holds each node's segment start. The segment softmax and
-    the attention dropout run over these pairs; ``graph.dense`` then places
-    the weights in a dense ``(heads, n, n)`` attention matrix, so aggregation
-    costs O(heads * n^2 * f) whatever the edge count.
-    """
-
-    graph: Graph
-    h0: np.ndarray
-    tgt: np.ndarray
-    nbr: np.ndarray
-    starts: np.ndarray
+__all__ = ["GatActivations", "GAT"]
 
 
 @dataclass
@@ -71,19 +54,17 @@ class AttnCache:
 
 @dataclass
 class GatActivations:
-    """What backward reads: each layer's input after dropout, and layer 2's mask."""
+    """What backward reads, per layer: its input after dropout, the dropout mask and the attention cache."""
 
-    inputs: GatInputs
-    h0d: np.ndarray
-    heads: AttnCache
-    mask1: np.ndarray | None
-    h1in: np.ndarray
-    layer2: AttnCache
+    graph: Graph
+    inputs: list[np.ndarray]
+    masks: list[np.ndarray | None]
+    attn: list[AttnCache]
     z: np.ndarray
 
     @property
     def kinks(self) -> list[np.ndarray]:
-        return [self.heads.pre, self.heads.s, self.layer2.pre, self.layer2.s]
+        return [a for cache in self.attn for a in (cache.pre, cache.s)]
 
 
 class GAT(GraphRegressor):
@@ -110,9 +91,12 @@ class GAT(GraphRegressor):
         self.f2 = f2
         self.dropout = dropout
         self.bias_init = float(bias_init)
-        self._w1_names = tuple(f"w1h{h}" for h in range(heads))
-        self._a1_names = tuple(f"a1h{h}" for h in range(heads))
-        self.param_names = sum(zip(self._w1_names, self._a1_names), ()) + ("w2", "a2", "w_lin", "b")
+        # Per layer: each head's weight name, then each head's attention name.
+        self._layers = (
+            (tuple(f"w1h{h}" for h in range(heads)), tuple(f"a1h{h}" for h in range(heads))),
+            (("w2",), ("a2",)),
+        )
+        self.param_names = sum((sum(zip(*layer), ()) for layer in self._layers), ()) + ("w_lin", "b")
 
     def widths(self) -> dict:
         return {
@@ -136,20 +120,21 @@ class GAT(GraphRegressor):
         params["b"] = np.full((), self.bias_init)
         return params
 
-    def prepare(self, graph: Graph, h0: np.ndarray) -> GatInputs:
-        return GatInputs(graph, self._checked_features(graph, h0), *graph.loops)
+    def prepare(self, graph: Graph, h0: np.ndarray) -> tuple[Graph, np.ndarray]:
+        return graph, self._checked_features(graph, h0)
 
-    def _attend(self, wh, a, inputs: GatInputs, train: bool, rng, keep: float) -> AttnCache:
+    def _attend(self, wh, a, graph: Graph, train: bool, rng, keep: float) -> AttnCache:
         """Attention sublayer over ``wh`` of shape (n, heads, f), ``a`` of shape (heads, 2f)."""
+        tgt, nbr, starts = graph.loops
         f = wh.shape[2]
         u = np.einsum("nhf,hf->nh", wh, a[:, :f])
         v = np.einsum("nhf,hf->nh", wh, a[:, f:])
-        pre = u[inputs.tgt] + v[inputs.nbr]
+        pre = u[tgt] + v[nbr]
         e = leaky_relu(pre)
-        mx = np.maximum.reduceat(e, inputs.starts)
-        ex = np.exp(e - mx[inputs.tgt])
-        denom = np.add.reduceat(ex, inputs.starts)
-        alpha = ex / denom[inputs.tgt]
+        mx = np.maximum.reduceat(e, starts)
+        ex = np.exp(e - mx[tgt])
+        denom = np.add.reduceat(ex, starts)
+        alpha = ex / denom[tgt]
         if train and self.dropout > 0.0:
             # One (heads, E) draw takes the rng stream in head-by-head order.
             amask = (rng.random(alpha.shape[::-1]) < keep).T
@@ -157,13 +142,13 @@ class GAT(GraphRegressor):
         else:
             amask = None
             alpha_used = alpha
-        p = inputs.graph.dense(alpha_used.T)
+        p = graph.dense(alpha_used.T)
         s = np.matmul(p, wh.transpose(1, 0, 2)).transpose(1, 0, 2)
         return AttnCache(wh=wh, pre=pre, alpha=alpha, amask=amask, p=p, s=s)
 
-    def _attend_backward(self, cache: AttnCache, a, ds, inputs: GatInputs, keep: float):
+    def _attend_backward(self, cache: AttnCache, a, ds, graph: Graph, keep: float):
         """Gradients of one attention sublayer: returns (d_wh, d_a)."""
-        tgt, nbr, starts = inputs.tgt, inputs.nbr, inputs.starts
+        tgt, nbr, starts = graph.loops
         # S = P @ Wh per head, so dP = dS @ Wh^T read at the pairs and dWh = P^T @ dS.
         ds_h = ds.transpose(1, 0, 2)
         dalpha = np.matmul(ds_h, cache.wh.transpose(1, 2, 0))[:, tgt, nbr].T
@@ -173,7 +158,7 @@ class GAT(GraphRegressor):
         # Softmax Jacobian per neighborhood: de = alpha * (dalpha - <alpha, dalpha>).
         seg_dot = np.add.reduceat(cache.alpha * dalpha, starts)
         de = cache.alpha * (dalpha - seg_dot[tgt])
-        dpre = inputs.graph.dense((de * leaky_relu_grad(cache.pre)).T)
+        dpre = graph.dense((de * leaky_relu_grad(cache.pre)).T)
         # pre = u[tgt] + v[nbr]: u collects the rows of dpre, v its columns.
         du, dv = dpre.sum(axis=2).T, dpre.sum(axis=1).T
         f = cache.wh.shape[2]
@@ -181,40 +166,38 @@ class GAT(GraphRegressor):
         dwh = dwh + du[:, :, None] * a[:, :f] + dv[:, :, None] * a[:, f:]
         return dwh, da
 
-    def forward(self, params, inputs: GatInputs, train: bool = False, rng=None) -> tuple[float, GatActivations]:
+    def forward(self, params, inputs, train: bool = False, rng=None) -> tuple[float, GatActivations]:
         if train and self.dropout > 0.0 and rng is None:
             raise ValueError("train-mode forward needs an rng for dropout")
+        graph, h = inputs
         keep = 1.0 - self.dropout
         drop = train and self.dropout > 0.0
-        n = inputs.graph.n
-        h0d = inputs.h0 * (rng.random(inputs.h0.shape) < keep) / keep if drop else inputs.h0
-        w1 = np.concatenate([params[k] for k in self._w1_names], axis=1)
-        a1 = np.stack([params[k] for k in self._a1_names])
-        heads = self._attend((h0d @ w1).reshape(n, self.heads, self.f1), a1, inputs, train, rng, keep)
-        h1c = relu(heads.s).reshape(n, self.heads * self.f1)
-        mask1 = rng.random(h1c.shape) < keep if drop else None
-        h1in = h1c * mask1 / keep if drop else h1c
-        wh2 = (h1in @ params["w2"]).reshape(n, 1, self.f2)
-        layer2 = self._attend(wh2, params["a2"][None, :], inputs, train, rng, keep)
-        yhat, z = self._readout(params, relu(layer2.s[:, 0]))
-        return yhat, GatActivations(inputs, h0d, heads, mask1, h1in, layer2, z)
+        xs, masks, attn = [], [], []
+        for w_names, a_names in self._layers:
+            masks.append(rng.random(h.shape) < keep if drop else None)
+            xs.append(h * masks[-1] / keep if drop else h)
+            w = np.concatenate([params[k] for k in w_names], axis=1)
+            a = np.stack([params[k] for k in a_names])
+            attn.append(self._attend((xs[-1] @ w).reshape(graph.n, len(w_names), -1), a, graph, train, rng, keep))
+            h = relu(attn[-1].s).reshape(graph.n, -1)
+        yhat, z = self._readout(params, h)
+        return yhat, GatActivations(graph, xs, masks, attn, z)
 
     def backward(self, params, acts: GatActivations, dy: float) -> dict[str, np.ndarray]:
-        inputs = acts.inputs
+        graph = acts.graph
         keep = 1.0 - self.dropout
-        n = inputs.graph.n
-        grads, dh2 = self._readout_backward(params, acts.z, n, dy)
-        ds2 = relu_grad(acts.layer2.s) * dh2
-        dwh2, da2 = self._attend_backward(acts.layer2, params["a2"][None, :], ds2, inputs, keep)
-        dwh2 = dwh2[:, 0]
-        dw2 = acts.h1in.T @ dwh2
-        dh1in = dwh2 @ params["w2"].T
-        dh1c = dh1in if acts.mask1 is None else dh1in * acts.mask1 / keep
-        ds1 = relu_grad(acts.heads.s) * dh1c.reshape(acts.heads.s.shape)
-        a1 = np.stack([params[k] for k in self._a1_names])
-        dwh1, da1 = self._attend_backward(acts.heads, a1, ds1, inputs, keep)
-        dw1 = acts.h0d.T @ dwh1.reshape(n, self.heads * self.f1)
-        grads.update(w2=dw2, a2=da2[0])
-        grads.update(zip(self._w1_names, np.split(dw1, self.heads, axis=1)))
-        grads.update(zip(self._a1_names, da1))
+        grads, dh = self._readout_backward(params, acts.z, graph.n, dy)
+        for layer in reversed(range(len(self._layers))):
+            w_names, a_names = self._layers[layer]
+            cache, mask = acts.attn[layer], acts.masks[layer]
+            # The readout's dh is one row that every node shares; a layer's dh has a row per node.
+            ds = relu_grad(cache.s) * dh.reshape((-1,) + cache.s.shape[1:])
+            a = np.stack([params[k] for k in a_names])
+            dwh, da = self._attend_backward(cache, a, ds, graph, keep)
+            dwh = dwh.reshape(graph.n, -1)
+            grads.update(zip(w_names, np.split(acts.inputs[layer].T @ dwh, len(w_names), axis=1)))
+            grads.update(zip(a_names, da))
+            if layer > 0:
+                dh = dwh @ np.concatenate([params[k] for k in w_names], axis=1).T
+                dh = dh if mask is None else dh * mask / keep
         return grads

@@ -23,7 +23,7 @@ CHECKPOINT_VERSION = 1
 
 
 class GraphRegressor:
-    """Base class: subclasses provide ``prepare``, ``forward`` and ``backward``.
+    """Base class: subclasses provide ``widths``, ``init_params``, ``prepare``, ``forward`` and ``backward``.
 
     ``forward`` returns ``(yhat, activations)`` for one prepared graph: only
     what ``backward`` reads, plus ``kinks``, the arrays entering a ReLU or
@@ -35,21 +35,6 @@ class GraphRegressor:
     kind: str = ""
     d: int
     param_names: tuple[str, ...] = ()
-
-    def widths(self) -> dict:
-        raise NotImplementedError
-
-    def init_params(self, seed: int | np.random.Generator) -> dict[str, np.ndarray]:
-        raise NotImplementedError
-
-    def prepare(self, graph, h0: np.ndarray):
-        raise NotImplementedError
-
-    def forward(self, params, inputs, train: bool = False, rng: np.random.Generator | None = None):
-        raise NotImplementedError
-
-    def backward(self, params, acts, dy: float) -> dict[str, np.ndarray]:
-        raise NotImplementedError
 
     def _checked_features(self, graph, h0: np.ndarray) -> np.ndarray:
         """``h0`` as float64, checked to be the graph's ``(n, d)`` feature matrix."""

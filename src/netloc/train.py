@@ -46,7 +46,11 @@ _GRADCHECK_N_RANGE = (5, 10)
 
 
 class NumericFailure(ArithmeticError):
-    """Training loss left the finite range; carries the failing epoch."""
+    """Training loss left the finite range; carries the failing epoch.
+
+    ``loss_value`` is the non-finite batch loss, or NaN when an optimizer step
+    left a parameter non-finite.
+    """
 
     def __init__(self, message: str, epoch: int, loss_value: float):
         super().__init__(message)
@@ -159,34 +163,35 @@ def train(config: TrainConfig, items: list[LabeledGraph]) -> TrainResult:
     n_items = len(items)
     snapshots = {0: _copy_params(params)}
     curve = np.zeros(config.epochs)
-    for epoch in range(1, config.epochs + 1):
-        if config.batch_size is None or config.batch_size >= n_items:
-            batches = [np.arange(n_items)]
-        else:
-            perm = order_rng.permutation(n_items)
-            batches = [perm[i : i + config.batch_size] for i in range(0, n_items, config.batch_size)]
-        epoch_loss = 0.0
-        for batch in batches:
-            batch_loss, grads = model.batch_step(
-                params,
-                [prepared[i] for i in batch],
-                targets[batch],
-                kind,
-                train=True,
-                rng=dropout_rng,
-            )
-            if not np.isfinite(batch_loss):
-                raise NumericFailure(
-                    f"loss became {batch_loss} at epoch {epoch} "
-                    f"(lr={config.lr}, optimizer={config.optimizer}); lower the learning rate",
-                    epoch=epoch,
-                    loss_value=float(batch_loss),
+    hint = f"(lr={config.lr}, optimizer={config.optimizer}); lower the learning rate"
+    # A diverging run fails with NumericFailure below, not with numpy warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            if config.batch_size is None or config.batch_size >= n_items:
+                batches = [np.arange(n_items)]
+            else:
+                perm = order_rng.permutation(n_items)
+                batches = [perm[i : i + config.batch_size] for i in range(0, n_items, config.batch_size)]
+            epoch_loss = 0.0
+            for batch in batches:
+                batch_loss, grads = model.batch_step(
+                    params,
+                    [prepared[i] for i in batch],
+                    targets[batch],
+                    kind,
+                    train=True,
+                    rng=dropout_rng,
                 )
-            opt.step(params, grads)
-            epoch_loss += batch_loss * len(batch) / n_items
-        curve[epoch - 1] = epoch_loss
-        if epoch in SNAPSHOT_EPOCHS or epoch == config.epochs:
-            snapshots[epoch] = _copy_params(params)
+                if not np.isfinite(batch_loss):
+                    raise NumericFailure(f"loss became {batch_loss} at epoch {epoch} {hint}", epoch, float(batch_loss))
+                opt.step(params, grads)
+                for name in model.param_names:
+                    if not np.isfinite(params[name]).all():
+                        raise NumericFailure(f"parameter {name!r} became non-finite at epoch {epoch} {hint}", epoch, np.nan)
+                epoch_loss += batch_loss * len(batch) / n_items
+            curve[epoch - 1] = epoch_loss
+            if epoch in SNAPSHOT_EPOCHS or epoch == config.epochs:
+                snapshots[epoch] = _copy_params(params)
     return TrainResult(model=model, params=params, loss_curve=curve, snapshots=snapshots, config=config)
 
 
@@ -200,16 +205,20 @@ def evaluate(
 
     Confusion rows are true regions expressed as percentages summing to 100
     (rows with no members stay zero). A non-finite prediction raises
-    ValueError naming its item, without a numpy warning.
+    ValueError naming its item, and an overflowing MSE raises ValueError,
+    both without a numpy warning.
     """
     if not items:
         raise ValueError("cannot evaluate an empty dataset")
+    targets = np.array([it.target for it in items])
     with np.errstate(over="ignore", invalid="ignore"):
         preds = model.predict(params, (model.prepare(it.graph, it.features) for it in items))
+        mse = loss(preds, targets)
     for i in np.flatnonzero(~np.isfinite(preds)):
         it = items[i]
         raise ValueError(f"item {i} ({it.family}, n={it.graph.n}): prediction is {preds[i]}")
-    targets = np.array([it.target for it in items])
+    if not np.isfinite(mse):
+        raise ValueError(f"mse is {mse}")
     true_r = np.array([int(classify_region(t, thresholds)) for t in targets])
     pred_r = np.array([int(classify_region(p, thresholds)) for p in preds])
     counts = np.zeros((3, 3), dtype=np.int64)
@@ -218,7 +227,7 @@ def evaluate(
     confusion = 100.0 * counts / np.maximum(counts.sum(axis=1, keepdims=True), 1)
     return EvalReport(
         count=len(items),
-        mse=loss(preds, targets),
+        mse=mse,
         region_accuracy=float(np.mean(true_r == pred_r)),
         confusion=confusion,
         region_counts=tuple(int(c) for c in counts.sum(axis=1)),

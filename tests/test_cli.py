@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -352,6 +353,26 @@ class TestCheckpointFile:
         }
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_mse_names_checkpoint(self, tmp_path, capsys):
+        # Every prediction of an untrained GCN on cycles is b, here finite,
+        # but its squared error overflows.
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle", "--train-count", "2"]
+        assert run(capsys, argv + ["--test-count", "2", "--train-sizes", "12", "14", "--test-sizes", "12", "14"])[0] == 0
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--epochs", "0"]
+        assert run(capsys, argv)[0] == 0
+        path = tmp_path / "run" / "checkpoint.json"
+        blob = json.loads(path.read_text())
+        blob["params"]["b"]["data"] = [1e200]
+        path.write_text(json.dumps(blob))
+        argv = ["eval", "--checkpoint", str(path), "--data", str(data_dir / "test"), "--out", str(tmp_path / "out")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{path}: mse is inf", "type": "ValueError"}
+        assert not (tmp_path / "out").exists()
+
     def test_nan_epsilon_is_json_error(self, tmp_path, capsys):
         path = self.write_checkpoint(tmp_path, lambda b: None)
         argv = ["eval", "--checkpoint", str(path), "--data", str(tmp_path / "nope"), "--out", str(tmp_path / "out")]
@@ -417,6 +438,23 @@ class TestPipeline:
         assert blob["seconds"] > 0.0
         summary = json.loads((eval_dir / "summary.json").read_text())
         assert summary["count"] == 2
+
+    def test_diverging_train_fails_before_writing(self, tmp_path, capsys):
+        # A huge plain-gd step turns the weights to NaN at epoch 3 while that
+        # epoch's loss is still finite; no artifact may hold the NaN weights.
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle,star", "--train-count", "6"]
+        assert run(capsys, argv + ["--test-count", "2", "--train-sizes", "12", "18", "--test-sizes", "12", "18"])[0] == 0
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--optimizer", "gd"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, argv + ["--weight-decay", "0", "--lr", "1e30", "--epochs", "3"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {
+            "error": "parameter 'w0' became non-finite at epoch 3 (lr=1e+30, optimizer=gd); lower the learning rate",
+            "type": "NumericFailure",
+        }
+        assert not (tmp_path / "run").exists()
 
     def test_generate_is_deterministic(self, tmp_path, capsys):
         argv = [

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from netloc.gat import GAT
-from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
+from netloc.graphs import Graph, make_er, make_path, make_star
 from netloc.kernels import MSE, loss
 
-from oracles import adjacency_lists, attention_neighborhoods, attention_scores, fd_gradient, softmax
+from oracles import adjacency_lists, attention_scores, fd_gradient, softmax
 
 
 N1 = Graph(1)
@@ -67,30 +67,6 @@ class TestScoreHelpers:
             softmax(np.array([]))
 
 
-class TestPrepare:
-    @pytest.mark.parametrize(
-        "g",
-        [
-            make_cycle(7),
-            make_path(6),
-            make_star(9),
-            make_wheel(8),
-            make_er(30, 0.2, seed=4),
-            make_scale_free(25, 2, seed=3),
-            N1,
-            DISCONNECTED,
-        ],
-        ids=["cycle", "path", "star", "wheel", "er", "scale_free", "n1", "disconnected"],
-    )
-    def test_edge_arrays_match_per_node_loop(self, g):
-        inputs = GAT(d=7, heads=4, f1=16, f2=64, dropout=0.6).prepare(g, np.zeros((g.n, 7)))
-        expected = attention_neighborhoods(adjacency_lists(g))
-        for name, want in zip(("tgt", "nbr", "starts"), expected):
-            got = getattr(inputs, name)
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
-
-
 def segment(values, starts, i, total):
     end = starts[i + 1] if i + 1 < len(starts) else total
     return values[starts[i] : end]
@@ -102,8 +78,8 @@ class TestForward:
         params = model.init_params(0)
         inputs = model.prepare(Graph(1, ()), np.random.default_rng(0).uniform(size=(1, 7)))
         _, acts = model.forward(params, inputs)
-        np.testing.assert_array_equal(acts.heads.alpha, [[1.0, 1.0]])
-        np.testing.assert_array_equal(acts.layer2.alpha, [[1.0]])
+        np.testing.assert_array_equal(acts.attn[0].alpha, [[1.0, 1.0]])
+        np.testing.assert_array_equal(acts.attn[1].alpha, [[1.0]])
 
     def test_alpha_matches_scalar_helpers(self):
         # The stacked segment softmax and the dense aggregation must agree,
@@ -114,30 +90,29 @@ class TestForward:
         g = connected_er(9, 0.35, seed=2)
         adj = adjacency_lists(g)
         feats = np.random.default_rng(1).uniform(size=(9, 7))
-        inputs = model.prepare(g, feats)
-        _, acts = model.forward(params, inputs)
+        _, acts = model.forward(params, model.prepare(g, feats))
+        _, _, starts = g.loops
 
         for h in range(model.heads):
             wh = feats @ params[f"w1h{h}"]
             a = params[f"a1h{h}"]
-            np.testing.assert_allclose(acts.heads.wh[:, h], wh, atol=1e-12)
+            np.testing.assert_allclose(acts.attn[0].wh[:, h], wh, atol=1e-12)
             for i in range(g.n):
                 hood = sorted(adj[i] + (i,))
                 scores = attention_scores(np.tile(wh[i], (len(hood), 1)), wh[list(hood)], a)
                 expected = softmax(scores)
-                got = segment(acts.heads.alpha[:, h], inputs.starts, i, len(inputs.tgt))
+                got = segment(acts.attn[0].alpha[:, h], starts, i, len(acts.attn[0].alpha))
                 np.testing.assert_allclose(got, expected, atol=1e-12)
                 s_i = sum(alpha * wh[j] for alpha, j in zip(expected, hood))
-                np.testing.assert_allclose(acts.heads.s[i, h], s_i, atol=1e-12)
+                np.testing.assert_allclose(acts.attn[0].s[i, h], s_i, atol=1e-12)
 
     def test_alpha_segments_sum_to_one(self):
         model = GAT(d=7, heads=3, f1=4, f2=5, dropout=0.6)
         params = model.init_params(8)
         g = make_star(12)
-        inputs = model.prepare(g, np.random.default_rng(3).uniform(size=(12, 7)))
-        _, acts = model.forward(params, inputs)
-        for cache in (acts.heads, acts.layer2):
-            sums = np.add.reduceat(cache.alpha, inputs.starts)
+        _, acts = model.forward(params, model.prepare(g, np.random.default_rng(3).uniform(size=(12, 7))))
+        for cache in acts.attn:
+            sums = np.add.reduceat(cache.alpha, g.loops[2])
             np.testing.assert_allclose(sums, np.ones((12, cache.alpha.shape[1])), atol=1e-12)
 
     def test_eval_mode_deterministic(self):
@@ -160,16 +135,21 @@ class TestForward:
 
     def test_attention_dropout_draws_head_by_head(self):
         # Training runs depend on the rng stream: the input mask first, then
-        # each head's attention mask over all edges in turn.
+        # each head's attention mask over all edges in turn, then layer 2's
+        # input mask and its one attention mask.
         model = GAT(d=7, heads=3, f1=2, f2=2, dropout=0.5)
         params = model.init_params(1)
-        inputs = model.prepare(make_star(5), np.random.default_rng(2).uniform(size=(5, 7)))
+        g = make_star(5)
+        inputs = model.prepare(g, np.random.default_rng(2).uniform(size=(5, 7)))
         _, acts = model.forward(params, inputs, train=True, rng=np.random.default_rng(7))
+        pairs = g.loops[0].size
         replay = np.random.default_rng(7)
-        replay.random(inputs.h0.shape)
+        np.testing.assert_array_equal(acts.masks[0], replay.random((5, 7)) < 0.5)
         for h in range(model.heads):
-            expected = replay.random(inputs.tgt.size) < 0.5
-            np.testing.assert_array_equal(acts.heads.amask[:, h], expected)
+            expected = replay.random(pairs) < 0.5
+            np.testing.assert_array_equal(acts.attn[0].amask[:, h], expected)
+        np.testing.assert_array_equal(acts.masks[1], replay.random((5, model.heads * model.f1)) < 0.5)
+        np.testing.assert_array_equal(acts.attn[1].amask[:, 0], replay.random(pairs) < 0.5)
 
     def test_train_mode_requires_rng(self):
         model = GAT(d=7, heads=1, f1=2, f2=2, dropout=0.6)

@@ -184,7 +184,7 @@ class TestTrainLoop:
             finally:
                 tracemalloc.stop()
 
-        k = int(np.argmax([inp.graph.n for inp in inputs]))
+        k = int(np.argmax([graph.n for graph, _ in inputs]))
         assert peak(inputs, targets) <= 2 * peak(inputs[k : k + 1], targets[k : k + 1])
 
 
@@ -235,6 +235,14 @@ class TestEvaluate:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^item 1 \(star, n={items[1].graph.n}\): prediction is inf$"):
+                evaluate(model, params, items)
+
+    def test_overflowing_mse_raises(self):
+        items = tiny_items(train_count=2)
+        model, params = constant_predictor(1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^mse is inf$"):
                 evaluate(model, params, items)
 
     def test_peak_memory_is_that_of_one_graph(self):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .kernels import glorot_init, leaky_relu, leaky_relu_grad, relu, relu_grad
+from .kernels import glorot_init, leaky_relu, leaky_relu_grad, mean_pool, relu, relu_grad
 from .models import GraphRegressor
 
 __all__ = ["GatActivations", "GAT"]
@@ -180,8 +180,8 @@ class GAT(GraphRegressor):
             a = np.stack([params[k] for k in a_names])
             attn.append(self._attend((xs[-1] @ w).reshape(graph.n, len(w_names), -1), a, graph, train, rng, keep))
             h = relu(attn[-1].s).reshape(graph.n, -1)
-        yhat, z = self._readout(params, h)
-        return yhat, GatActivations(graph, xs, masks, attn, z)
+        z = mean_pool(h)
+        return self._readout(params, z), GatActivations(graph, xs, masks, attn, z)
 
     def backward(self, params, acts: GatActivations, dy: float) -> dict[str, np.ndarray]:
         graph = acts.graph

@@ -22,6 +22,7 @@ __all__ = [
     "make_er",
     "make_scale_free",
     "is_connected",
+    "equitable_partition",
     "read_edgelist",
     "write_edgelist",
 ]
@@ -196,6 +197,62 @@ def is_connected(g: Graph) -> bool:
                     nxt.append(v)
         queue = nxt
     return count == g.n
+
+
+def equitable_partition(g: Graph, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coarsest equitable partition of ``g`` that refines ``colours``: exact colour refinement (1-WL).
+
+    ``colours`` holds one value or row per node, and nodes with equal rows
+    start in one class. Each round splits the classes by every node's count of
+    neighbours in each class, ranking the count lists by sorting, until a
+    round splits nothing; all-distinct start rows need no round. Returns
+    ``(cls, s, b)``: each node's class, numbered in the order of the classes'
+    smallest nodes; the class sizes; and the k x k float64 matrix whose
+    ``b[i, j]`` is the number of neighbours in class j of any node of class
+    i. A discrete partition (k = n) is the identity, with ``b`` the
+    adjacency matrix.
+    """
+    rows, nbrs = g.csr_rows, g.csr[1]
+    cls, first = _row_classes(np.asarray(colours).reshape(g.n, -1))
+    while True:
+        # One entry per (node, neighbour class) pair, with its neighbour count.
+        pair = np.sort(rows * first.size + cls[nbrs])
+        run = np.ones(pair.size, dtype=bool)
+        run[1:] = pair[1:] != pair[:-1]
+        count = np.diff(np.append(np.flatnonzero(run), pair.size))
+        node, nbr_cls = np.divmod(pair[run], first.size)
+        if first.size == g.n:
+            break
+        # Row u: u's class, then its (class, count) pairs as one symbol each, -1 past the end.
+        pos = np.arange(node.size) - np.searchsorted(node, node)
+        keys = np.full((g.n, pos.max(initial=-1) + 2), -1)
+        keys[:, 0] = cls
+        keys[node, pos + 1] = nbr_cls * g.n + count
+        split, split_first = _row_classes(keys)
+        if split_first.size == first.size:
+            break
+        cls, first = split, split_first
+    # Renumber the classes in the order of their smallest nodes.
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    own = first[cls[node]] == node
+    b = np.zeros((first.size, first.size))
+    b[rank[cls[node[own]]], rank[nbr_cls[own]]] = count[own]
+    cls = rank[cls]
+    return cls, np.bincount(cls), b
+
+
+def _row_classes(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Class of each row of ``keys``, equal rows sharing one and classes
+    numbered in sorted row order; and each class's smallest row."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    cls = np.empty(len(keys), dtype=np.int64)
+    cls[order] = np.cumsum(new) - 1
+    # lexsort is stable, so each run of equal rows starts at its smallest row.
+    return cls, order[new]
 
 
 def write_edgelist(g: Graph, path: str | Path) -> None:

@@ -14,6 +14,7 @@ from .graphs import Graph
 
 __all__ = [
     "normalized_adjacency",
+    "normalized_counts",
     "relu",
     "relu_grad",
     "LEAKY_SLOPE",
@@ -40,9 +41,21 @@ def normalized_adjacency(g: Graph) -> np.ndarray:
     D is the degree matrix of A + I, so every row has positive degree and the
     result is symmetric with leading eigenvalue exactly 1.
     """
-    tgt, nbr, _ = g.loops
-    d_inv_sqrt = 1.0 / np.sqrt(g.degrees + 1)
-    return g.dense(d_inv_sqrt[tgt] * d_inv_sqrt[nbr])
+    return normalized_counts(g.dense(np.ones(g.loops[0].size)))
+
+
+def normalized_counts(c: np.ndarray) -> np.ndarray:
+    """D^(-1/2) C D^(-1/2) with D the row sums of the self-looped count matrix C.
+
+    C is A + I for a graph, or B + I for the quotient of an equitable
+    partition (``graphs.equitable_partition``'s B), whose row sums are the
+    degrees + 1 as well. On the discrete partition B is A, so both give the
+    same bits.
+    """
+    d_inv_sqrt = 1.0 / np.sqrt(c.sum(axis=1))
+    out = c * d_inv_sqrt[:, None]
+    out *= d_inv_sqrt[None, :]
+    return out
 
 
 def relu(x: np.ndarray) -> np.ndarray:

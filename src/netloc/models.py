@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import read_json
-from .kernels import MSE, LossKind, _loss_grad, loss, mean_pool
+from .kernels import MSE, LossKind, _loss_grad, loss
 
 __all__ = ["GraphRegressor", "save_checkpoint", "load_checkpoint"]
 
@@ -29,7 +29,8 @@ class GraphRegressor:
     what ``backward`` reads, plus ``kinks``, the arrays entering a ReLU or
     LeakyReLU. ``backward`` maps ``(params, activations, dL/dyhat)`` to a
     gradient dict with the same keys and shapes as ``params``. The base class
-    holds the shared feature check, the mean-pool readout and its backward.
+    holds the shared feature check, the linear head on the mean of the node
+    rows (each model pools its own rows) and its backward.
     """
 
     kind: str = ""
@@ -44,14 +45,13 @@ class GraphRegressor:
         return h0
 
     @staticmethod
-    def _readout(params, h: np.ndarray) -> tuple[float, np.ndarray]:
-        """``(yhat, z)`` with ``z`` the column mean of ``h`` and ``yhat = z @ w_lin + b``."""
-        z = mean_pool(h)
-        return float(z @ params["w_lin"][:, 0] + params["b"]), z
+    def _readout(params, z: np.ndarray) -> float:
+        """``yhat = z @ w_lin + b`` for the graph's pooled vector ``z``, the mean of its node rows."""
+        return float(z @ params["w_lin"][:, 0] + params["b"])
 
     @staticmethod
     def _readout_backward(params, z: np.ndarray, n: int, dy: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Head gradients and ``dL/dh``, the same ``dy * w_lin / n`` for each of the ``n`` rows."""
+        """Head gradients and ``dL/dh``, the same ``dy * w_lin / n`` for each of the ``n`` nodes."""
         dz = dy * params["w_lin"][:, 0]
         return {"w_lin": dy * z[:, None], "b": np.array(dy)}, dz / n
 

@@ -8,6 +8,7 @@ ever written into an artifact file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -39,6 +40,7 @@ CONFIG_FORMAT = "netloc-train-config"
 CONFIG_VERSION = 1
 
 SNAPSHOT_EPOCHS = (0, 1, 2, 3, 4)
+_HISTOGRAM_BINS = 30
 
 # gradient_check's central-difference step and the node-count range of its graphs.
 _GRADCHECK_H = 1e-6
@@ -250,13 +252,34 @@ def write_training_artifacts(result: TrainResult, directory: str | Path) -> None
     (directory / "loss_curve.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
     for epoch in sorted(result.snapshots):
         for name, w in result.snapshots[epoch].items():
-            counts, edges = np.histogram(w.ravel(), bins=30)
+            counts, edges = np.histogram(w.ravel(), bins=_histogram_edges(w))
             lines = ["bin_lo,bin_hi,count"]
             lines.extend(
                 f"{float(edges[k])!r},{float(edges[k + 1])!r},{int(counts[k])}" for k in range(len(counts))
             )
             path = directory / f"weights_epoch{epoch:04d}_{name}.csv"
             path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _histogram_edges(w: np.ndarray) -> np.ndarray:
+    """``np.histogram``'s 30 equal bins over a finite array's range, where they
+    exist; else bins of the halved range, widened by 120 floats on each side.
+
+    numpy's bins fail for a one-valued array whose ±0.5 is below float64
+    spacing (near 1e29), for values too few floats apart for 30 bins, and for a
+    span beyond the float range. Halving keeps that span finite, and 120 floats
+    a side leave each of the 30 bins at least 8 floats wide.
+    """
+    lo, hi = float(w.min()), float(w.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
+    if math.isfinite(hi - lo):
+        edges = np.linspace(lo, hi, _HISTOGRAM_BINS + 1)
+        if np.all(edges[:-1] < edges[1:]):
+            return edges
+    lo, hi = float(w.min()) / 2, float(w.max()) / 2
+    pad = 120 * np.spacing(max(abs(lo), abs(hi)))
+    return 2 * np.linspace(lo - pad, hi + pad, _HISTOGRAM_BINS + 1)
 
 
 def write_eval_report(report: EvalReport, directory: str | Path) -> None:

@@ -203,6 +203,25 @@ def avg_neighbor_degree_dense(a: np.ndarray) -> np.ndarray:
     return out
 
 
+def colour_refinement(adj: list[tuple[int, ...]], colours) -> list[int]:
+    """Coarsest equitable partition refining ``colours`` by naive 1-WL.
+
+    Each round gives node u the signature (colour, sorted neighbour colours)
+    and numbers the distinct signatures by first appearance, until the class
+    count stops growing; classes come out numbered by their smallest node.
+    """
+    def number(keys):
+        seen: dict = {}
+        return [seen.setdefault(key, len(seen)) for key in keys]
+
+    colour = number(colours)
+    while True:
+        refined = number((colour[u], tuple(sorted(colour[v] for v in adj[u]))) for u in range(len(adj)))
+        if max(refined) == max(colour):
+            return refined
+        colour = refined
+
+
 def softmax(x: np.ndarray) -> np.ndarray:
     """Stable softmax over the last axis; invariant to a constant shift."""
     x = np.asarray(x, dtype=np.float64)
@@ -240,11 +259,14 @@ def attention_neighborhoods(adj: list[tuple[int, ...]]) -> tuple[np.ndarray, np.
     return tuple(np.array(x, dtype=np.int64) for x in (tgt, nbr, starts))
 
 
-def gcn_straight_line(params: dict, ahat: np.ndarray, h0: np.ndarray, dy: float) -> tuple[float, dict]:
+def gcn_straight_line(
+    params: dict, ahat: np.ndarray, h0: np.ndarray, s: np.ndarray, dy: float
+) -> tuple[float, dict]:
     """Three-layer GCN prediction and gradients, each layer written out line by line.
 
-    Same evaluation order as the package's layer loop, so the two agree bit
-    for bit: ``yhat`` and the gradients of ``dy * yhat``.
+    Row i of ``ahat`` and ``h0`` stands for ``s[i]`` nodes; all ones is the
+    per-node network. Same evaluation order as the package's layer loop, so
+    the two agree bit for bit: ``yhat`` and the gradients of ``dy * yhat``.
     """
     def relu(x):
         return np.maximum(x, 0.0)
@@ -258,16 +280,15 @@ def gcn_straight_line(params: dict, ahat: np.ndarray, h0: np.ndarray, dy: float)
     q2 = p2 @ params["w1"]
     p3 = ahat @ relu(q2)
     q3 = p3 @ params["w2"]
-    z = relu(q3).mean(axis=0)
+    z = (s[:, None] * relu(q3)).sum(axis=0) / s.sum()
     yhat = float(z @ params["w_lin"][:, 0] + params["b"])
-    n = h0.shape[0]
     dz = dy * params["w_lin"][:, 0]
-    dq3 = relu_grad(q3) * (dz / n)[None, :]
-    dw2 = p3.T @ dq3
+    dq3 = relu_grad(q3) * (dz / s.sum())[None, :]
+    dw2 = p3.T @ (s[:, None] * dq3)
     dq2 = relu_grad(q2) * (ahat @ (dq3 @ params["w2"].T))
-    dw1 = p2.T @ dq2
+    dw1 = p2.T @ (s[:, None] * dq2)
     dq1 = relu_grad(q1) * (ahat @ (dq2 @ params["w1"].T))
-    dw0 = p1.T @ dq1
+    dw0 = p1.T @ (s[:, None] * dq1)
     return yhat, {"w0": dw0, "w1": dw1, "w2": dw2, "w_lin": dy * z[:, None], "b": np.array(dy)}
 
 

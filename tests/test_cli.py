@@ -8,6 +8,7 @@ import pytest
 
 from netloc.cli import main
 from netloc.graphs import make_star, write_edgelist
+from netloc.models import load_checkpoint
 
 
 def run(capsys, argv):
@@ -455,6 +456,24 @@ class TestPipeline:
             "type": "NumericFailure",
         }
         assert not (tmp_path / "run").exists()
+
+    def test_huge_finite_weights_get_every_histogram(self, tmp_path, capsys):
+        # One huge plain-gd step leaves b near 1e29: finite, but ±0.5 around
+        # one value is below float64 spacing there.
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle,star", "--train-count", "6"]
+        assert run(capsys, argv + ["--test-count", "2", "--train-sizes", "12", "18", "--test-sizes", "12", "18"])[0] == 0
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--optimizer", "gd"]
+        code, out, err = run(capsys, argv + ["--weight-decay", "0", "--lr", "1e30", "--epochs", "1"])
+        assert code == 0, err
+        b = load_checkpoint(tmp_path / "run" / "checkpoint.json")[1]["b"]
+        assert 1e20 < abs(float(b)) < np.inf
+        names = ("w0", "w1", "w2", "w_lin", "b")
+        assert {p.name for p in (tmp_path / "run").glob("weights_*.csv")} == {
+            f"weights_epoch{e:04d}_{name}.csv" for e in (0, 1) for name in names
+        }
+        rows = (tmp_path / "run" / "weights_epoch0001_b.csv").read_text().splitlines()[1:]
+        assert len(rows) == 30 and sum(int(r.split(",")[2]) for r in rows) == 1
 
     def test_generate_is_deterministic(self, tmp_path, capsys):
         argv = [

@@ -5,7 +5,7 @@ from netloc.data import FAMILIES
 from netloc.features import build_feature_matrix
 from netloc.gcn import GCN
 from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
-from netloc.kernels import LOG_MSE, MSE, loss, loss_grad
+from netloc.kernels import LOG_MSE, MSE, loss, loss_grad, normalized_adjacency
 from netloc.optim import GradientDescent
 
 from oracles import fd_gradient, gcn_straight_line
@@ -44,7 +44,7 @@ class TestForward:
         params["w0"] = np.array([[1.0, 2.0], [0.0, 1.0], [-1.0, 0.0]])
         a = np.array([[1.0, 2.0], [3.0, 4.0]])
         h0 = np.array([[1.0, 0.0, 2.0], [-1.0, 3.0, 1.0]])
-        _, acts = model.forward(params, (a, h0))
+        _, acts = model.forward(params, (a, h0, np.ones(2, dtype=np.int64)))
         assert acts.p[0].tolist() == [[-1.0, 6.0, 4.0], [-1.0, 12.0, 10.0]]
         assert acts.q[0].tolist() == [[-5.0, 4.0], [-11.0, 10.0]]
 
@@ -92,16 +92,52 @@ class TestLayerLoop:
         # A positive bias keeps yhat above the log loss's floor, so dy != 0.
         params["b"] = np.array(0.5)
         g = self.GRAPHS[family]()
-        ahat, h0 = model.prepare(g, build_feature_matrix(g))
-        yhat, acts = model.forward(params, (ahat, h0))
+        ahat, h0, s = model.prepare(g, build_feature_matrix(g))
+        yhat, acts = model.forward(params, (ahat, h0, s))
         dy = float(loss_grad(np.array([yhat]), np.array([0.2]), kind)[0])
         assert dy != 0.0
-        ref_yhat, ref_grads = gcn_straight_line(params, ahat, h0, dy)
+        ref_yhat, ref_grads = gcn_straight_line(params, ahat, h0, s, dy)
         grads = model.backward(params, acts, dy)
         assert yhat == ref_yhat
         assert set(grads) == set(ref_grads) == set(model.param_names)
         for name in model.param_names:
             assert np.array_equal(grads[name], ref_grads[name]), name
+
+
+class TestQuotient:
+    # Class counts of the feature-started partition at n = 11.
+    CLASSES = {"cycle": 1, "path": 6, "star": 2, "wheel": 2, "er": 11, "scale_free": 10}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_per_node_network(self, family):
+        # The quotient network against the per-node one: Ahat of the whole
+        # graph and the full feature matrix, every row standing for one node.
+        model = GCN(d=7, k0=6, k1=5, k2=4)
+        params = model.init_params(22)
+        g = TestLayerLoop.GRAPHS[family]()
+        h0 = build_feature_matrix(g)
+        inputs = model.prepare(g, h0)
+        assert inputs[2].size == self.CLASSES[family] and inputs[2].sum() == g.n
+        yhat, acts = model.forward(params, inputs)
+        grads = model.backward(params, acts, 0.7)
+        ref_yhat, ref_grads = gcn_straight_line(params, normalized_adjacency(g), h0, np.ones(g.n), 0.7)
+        assert abs(yhat - ref_yhat) <= 1e-14 * abs(ref_yhat)
+        for name in model.param_names:
+            assert np.max(np.abs(grads[name] - ref_grads[name])) <= 1e-13 * np.max(np.abs(ref_grads[name])), name
+
+    def test_er_inputs_are_the_per_node_network(self):
+        model = GCN(d=7, k0=4, k1=4, k2=4)
+        g = connected_er(40, 0.15, seed=7)
+        for h0 in (build_feature_matrix(g), np.random.default_rng(8).random((g.n, 7))):
+            ahat, rows, s = model.prepare(g, h0)
+            assert np.array_equal(ahat, normalized_adjacency(g))
+            assert np.array_equal(rows, h0) and np.array_equal(s, np.ones(g.n))
+
+    def test_cycle_runs_on_one_row(self):
+        model = GCN(d=7, k0=4, k1=4, k2=4)
+        ahat, rows, s = model.prepare(make_cycle(300), build_feature_matrix(make_cycle(300)))
+        assert ahat.shape == (1, 1) and ahat[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert rows.shape == (1, 7) and s.tolist() == [300]
 
 
 class TestBatchGradients:

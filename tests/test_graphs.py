@@ -6,6 +6,7 @@ import pytest
 
 from netloc.graphs import (
     Graph,
+    equitable_partition,
     is_connected,
     make_cycle,
     make_er,
@@ -17,7 +18,7 @@ from netloc.graphs import (
     write_edgelist,
 )
 
-from oracles import adjacency_lists, adjacency_matrix, attention_neighborhoods, principal_eigenpair
+from oracles import adjacency_lists, adjacency_matrix, attention_neighborhoods, colour_refinement, principal_eigenpair
 
 
 class TestGraphContainer:
@@ -204,6 +205,65 @@ class TestConnectivity:
     def test_disconnected(self):
         assert not is_connected(Graph(4, ((0, 1), (2, 3))))
         assert not is_connected(Graph(3, ((0, 1),)))
+
+
+PARTITION_GRAPHS = {
+    "cycle": lambda: make_cycle(12),
+    "path": lambda: make_path(13),
+    "star": lambda: make_star(9),
+    "wheel": lambda: make_wheel(10),
+    "er": lambda: make_er(30, 0.1, seed=3),
+    "scale_free": lambda: make_scale_free(40, 1, seed=6),
+    "disconnected": lambda: Graph(7, ((0, 1), (2, 3), (3, 4))),
+}
+
+
+class TestEquitablePartition:
+    @pytest.mark.parametrize("start", ["uniform", "two-colours", "rows"])
+    @pytest.mark.parametrize("family", sorted(PARTITION_GRAPHS))
+    def test_classes_are_equitable_and_refine_the_start(self, family, start):
+        g = PARTITION_GRAPHS[family]()
+        colours = {
+            "uniform": np.zeros(g.n),
+            "two-colours": np.arange(g.n) % 2 == 0,
+            "rows": np.column_stack([np.arange(g.n) % 3 == 0, np.arange(g.n) % 2 == 0]).astype(float),
+        }[start]
+        cls, s, b = equitable_partition(g, colours)
+        assert s.tolist() == np.bincount(cls).tolist()
+        # Every node of a class has the same count row, and b holds it.
+        counts = adjacency_matrix(g) @ np.eye(s.size)[cls]
+        np.testing.assert_array_equal(counts, b[cls])
+        # Nodes of one class started with one colour.
+        rows = np.asarray(colours, dtype=float).reshape(g.n, -1)
+        for i in range(s.size):
+            assert len({tuple(r) for r in rows[cls == i]}) == 1
+        # The coarsest such partition, numbered by smallest node, as naive 1-WL finds it.
+        assert cls.tolist() == colour_refinement(adjacency_lists(g), [tuple(r) for r in rows])
+
+    @pytest.mark.parametrize(
+        "g, k", [(make_cycle(30), 1), (make_star(30), 2), (make_wheel(30), 2)], ids=["cycle", "star", "wheel"]
+    )
+    def test_uniform_start_class_counts(self, g, k):
+        assert equitable_partition(g, np.zeros(g.n))[1].size == k
+
+    @pytest.mark.parametrize("n", [2, 3, 30, 31])
+    def test_path_classes_are_mirror_pairs(self, n):
+        cls, s, _ = equitable_partition(make_path(n), np.zeros(n))
+        assert s.size == (n + 1) // 2
+        np.testing.assert_array_equal(cls, np.minimum(np.arange(n), n - 1 - np.arange(n)))
+
+    def test_discrete_partition_is_the_identity(self):
+        g = make_er(25, 0.2, seed=9)
+        cls, s, b = equitable_partition(g, np.random.default_rng(0).random((g.n, 3)))
+        np.testing.assert_array_equal(cls, np.arange(g.n))
+        np.testing.assert_array_equal(s, np.ones(g.n))
+        np.testing.assert_array_equal(b, adjacency_matrix(g))
+
+    def test_long_path_ends_with_mirror_classes(self):
+        n = 2000
+        cls, s, b = equitable_partition(make_path(n), np.zeros(n))
+        np.testing.assert_array_equal(cls, np.minimum(np.arange(n), n - 1 - np.arange(n)))
+        assert s.tolist() == [2] * (n // 2) and b[-1, -1] == 1.0
 
 
 class TestEdgelistIO:

@@ -296,6 +296,33 @@ class TestArtifacts:
         total = sum(int(r.split(",")[2]) for r in rows[1:])
         assert total == 7 * 4
 
+    @pytest.mark.parametrize(
+        "values, numpy_bins",
+        [
+            ([0.25], True),
+            ([-1.0, 0.5, 2.0], True),
+            ([1e29], False),
+            ([1e29, np.nextafter(1e29, np.inf)], False),
+            ([-1e308, 1e308], False),
+        ],
+        ids=["one-value", "spread", "one-value-1e29", "two-floats-1e29", "span-overflows"],
+    )
+    def test_every_finite_array_gets_thirty_bins(self, tmp_path, values, numpy_bins):
+        result = train(tiny_config(epochs=0, k0=2, k1=2, k2=2), tiny_items(train_count=1))
+        values = np.array(values)
+        result.snapshots = {0: {"b": values}}
+        write_training_artifacts(result, tmp_path)
+        rows = [r.split(",") for r in (tmp_path / "weights_epoch0000_b.csv").read_text().splitlines()[1:]]
+        edges = np.array([float(r[0]) for r in rows] + [float(rows[-1][1])])
+        counts = [int(r[2]) for r in rows]
+        assert len(rows) == 30 and sum(counts) == values.size
+        assert np.isfinite(edges).all() and np.all(edges[:-1] < edges[1:])
+        assert edges[0] <= values.min() and values.max() <= edges[-1]
+        if numpy_bins:
+            # Where numpy's default bins exist, they are the ones written.
+            want_counts, want_edges = np.histogram(values, bins=30)
+            assert edges.tolist() == want_edges.tolist() and counts == want_counts.tolist()
+
     def test_eval_report_files(self, tmp_path):
         items = tiny_items(train_count=4)
         model, params = constant_predictor(0.25)

@@ -167,6 +167,8 @@ def _cmd_ingest_tu(args) -> int:
 def _cmd_train(args) -> int:
     config = _read_config(args.config, TrainConfig, _given(args, TrainConfig))
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
+    if not items:
+        raise ValueError(f"{args.data}: cannot train on an empty dataset")
     t0 = time.perf_counter()
     result = train(config, items)
     write_training_artifacts(result, args.out)
@@ -185,6 +187,8 @@ def _cmd_eval(args) -> int:
     thresholds = RegionThresholds(**_given(args, RegionThresholds))
     model, params, _ = load_checkpoint(args.checkpoint)
     items, _ = data_mod.load_dataset(args.data, verify=not args.no_verify)
+    if not items:
+        raise ValueError(f"{args.data}: cannot evaluate an empty dataset")
     t0 = time.perf_counter()
     with _naming(args.checkpoint):
         report = evaluate(model, params, items, thresholds)

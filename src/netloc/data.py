@@ -29,6 +29,8 @@ from .graphs import (
     make_star,
     make_wheel,
     read_edgelist,
+    read_lines,
+    read_text,
     write_edgelist,
 )
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, label_graph
@@ -204,25 +206,6 @@ def build_synthetic(spec: DatasetSpec) -> tuple[list[LabeledGraph], list[Labeled
     return train, test
 
 
-def _read_pair_file(path: Path) -> list[tuple[int, int, int]]:
-    """(value..., line_no) rows of a comma- or whitespace-separated pair file."""
-    rows = []
-    with path.open(encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            if len(parts) != 2:
-                raise ParseError(f"{path}:{line_no}: expected two integers, got {raw.strip()!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: expected two integers, got {raw.strip()!r}") from exc
-            rows.append((u, v, line_no))
-    return rows
-
-
 def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Graph]:
     """Parse a TU-format graph collection (DS_A.txt + DS_graph_indicator.txt).
 
@@ -243,20 +226,14 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
         raise ParseError(f"{ind_path}: file not found")
 
     node_graph: dict[int, int] = {}
-    with ind_path.open(encoding="utf-8") as fh:
-        node_id = 0
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            node_id += 1
-            try:
-                gid = int(line)
-            except ValueError as exc:
-                raise ParseError(f"{ind_path}:{line_no}: expected a graph id, got {raw.strip()!r}") from exc
-            if gid < 1:
-                raise ParseError(f"{ind_path}:{line_no}: graph ids are 1-indexed, got {gid}")
-            node_graph[node_id] = gid
+    for node_id, (line_no, line) in enumerate(read_lines(ind_path, ParseError), start=1):
+        try:
+            gid = int(line)
+        except ValueError as exc:
+            raise ParseError(f"{ind_path}:{line_no}: expected a graph id, got {line!r}") from exc
+        if gid < 1:
+            raise ParseError(f"{ind_path}:{line_no}: graph ids are 1-indexed, got {gid}")
+        node_graph[node_id] = gid
     if not node_graph:
         raise ParseError(f"{ind_path}: no nodes listed")
 
@@ -270,7 +247,11 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
         raise ParseError(f"{ind_path}: graph id {sizes.index(0) + 1} has no nodes")
 
     edge_sets: list[set[tuple[int, int]]] = [set() for _ in range(n_graphs)]
-    for u, v, line_no in _read_pair_file(a_path):
+    for line_no, line in read_lines(a_path, ParseError):
+        try:
+            u, v = map(int, line.replace(",", " ").split())
+        except ValueError as exc:
+            raise ParseError(f"{a_path}:{line_no}: expected two integers, got {line!r}") from exc
         for x in (u, v):
             if x not in node_graph:
                 raise ParseError(f"{a_path}:{line_no}: node id {x} not in graph indicator")
@@ -346,14 +327,12 @@ def save_dataset(
     (directory / "targets.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
 
 
-def read_json(path: str | Path):
-    """The JSON value in ``path``; bad text raises ValueError ``path:line: msg``."""
+def read_json(path: str | Path, error: type[Exception] = ValueError):
+    """The JSON value in ``path``; bad text raises ``error("path:line: msg")``."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(read_text(path, error))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
+        raise error(f"{path}:{exc.lineno}: {exc.msg}") from exc
 
 
 def _cell(where: str, name: str, cast, text: str):
@@ -379,10 +358,7 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
     man_path = directory / "manifest.json"
     if not man_path.is_file():
         raise DatasetFormatError(f"{directory}: no manifest.json")
-    try:
-        manifest = read_json(man_path)
-    except ValueError as exc:
-        raise DatasetFormatError(str(exc)) from exc
+    manifest = read_json(man_path, DatasetFormatError)
     if not isinstance(manifest, dict):
         raise DatasetFormatError(f"{man_path}: expected a JSON object, got {type(manifest).__name__}")
     if manifest.get("format") != DATASET_FORMAT:
@@ -394,16 +370,21 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
     seeds = manifest.get("seeds", {})
     if not isinstance(seeds, dict):
         raise DatasetFormatError(f"{man_path}: seeds must be an object, got {type(seeds).__name__}")
-    rows = (directory / "targets.csv").read_text(encoding="utf-8").splitlines()
-    if not rows or rows[0] != "id,target,family,n":
-        raise DatasetFormatError(f"{directory}/targets.csv: bad or missing header")
+    csv_path = directory / "targets.csv"
+    if not csv_path.is_file():
+        raise DatasetFormatError(f"{directory}: no targets.csv")
+    rows = read_lines(csv_path, DatasetFormatError)
+    if not rows or rows[0][1] != "id,target,family,n":
+        raise DatasetFormatError(f"{csv_path}: bad or missing header")
     items: list[LabeledGraph] = []
-    for line_no, row in enumerate(rows[1:], start=2):
-        where = f"{directory}/targets.csv:{line_no}"
+    for line_no, row in rows[1:]:
+        where = f"{csv_path}:{line_no}"
         parts = row.split(",")
         if len(parts) != 4:
             raise DatasetFormatError(f"{where}: expected 4 columns")
         ident = _cell(where, "id", int, parts[0])
+        if ident != len(items):
+            raise DatasetFormatError(f"{where}: expected id {len(items)} (ids run 0..count-1 in row order), got {ident}")
         target = _cell(where, "target", float, parts[1])
         if not math.isfinite(target):
             raise DatasetFormatError(f"{where}: target must be a finite number, got {parts[1]!r}")

@@ -1,4 +1,5 @@
-"""Undirected simple graphs: container, model generators, and edge-list text I/O.
+"""Undirected simple graphs: container, model generators, edge-list text I/O,
+and the UTF-8 line reader that every text input file goes through.
 
 All randomness flows through ``numpy.random.Generator`` seeded with PCG64, so
 every generator here is reproducible bit-for-bit given the same seed and numpy
@@ -23,6 +24,8 @@ __all__ = [
     "make_scale_free",
     "is_connected",
     "equitable_partition",
+    "read_text",
+    "read_lines",
     "read_edgelist",
     "write_edgelist",
 ]
@@ -263,51 +266,62 @@ def write_edgelist(g: Graph, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_text(path: str | Path, error: type[Exception] = ValueError) -> str:
+    """The UTF-8 text of ``path``; an undecodable byte raises ``error("path:line: not UTF-8 text")``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one are valid; "." stands in for it, so splitlines counts its line.
+        before = Path(path).read_bytes()[: exc.start].decode("utf-8")
+        raise error(f"{path}:{len((before + '.').splitlines())}: not UTF-8 text") from exc
+
+
+def read_lines(path: str | Path, error: type[Exception] = ValueError) -> list[tuple[int, str]]:
+    """``(line number, stripped line)`` for each nonblank line of ``path``, decoded by
+    :func:`read_text`; lines are numbered from 1 as in the file, blank ones counted."""
+    lines = map(str.strip, read_text(path, error).splitlines())
+    return [(k, ln) for k, ln in enumerate(lines, start=1) if ln]
+
+
 def read_edgelist(path: str | Path) -> Graph:
     """Parse the text edge-list form written by :func:`write_edgelist`.
 
     Blank lines are skipped; errors name the file and the line as numbered
     in the file.
     """
-    text = Path(path).read_text(encoding="utf-8")
-    rows = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in rows if ln]
+    lines = read_lines(path)
     if not lines:
         raise ValueError(f"{path}: empty edge-list file")
-
-    def at(q: int) -> str:
-        # Only errors pay for mapping the q-th nonblank line back to its number.
-        return f"{path}:{[k for k, ln in enumerate(rows, start=1) if ln][q]}"
-
-    head = lines[0].split()
+    (head_no, header), body = lines[0], lines[1:]
+    head = header.split()
     if len(head) != 2:
-        raise ValueError(f"{at(0)}: header must be 'n m', got {lines[0]!r}")
+        raise ValueError(f"{path}:{head_no}: header must be 'n m', got {header!r}")
     try:
         n, m = int(head[0]), int(head[1])
     except ValueError as exc:
-        raise ValueError(f"{at(0)}: header must be two integers") from exc
+        raise ValueError(f"{path}:{head_no}: header must be two integers") from exc
     if n < 1:
-        raise ValueError(f"{at(0)}: graph needs at least one node, got n={n}")
-    if len(lines) - 1 != m:
-        raise ValueError(f"{path}: header claims {m} edges, found {len(lines) - 1}")
+        raise ValueError(f"{path}:{head_no}: graph needs at least one node, got n={n}")
+    if len(body) != m:
+        raise ValueError(f"{path}:{head_no}: header claims {m} edges, found {len(body)}")
     edges: list[tuple[int, int]] = []
-    for q, ln in enumerate(lines[1:], start=1):
+    for k, ln in body:
         parts = ln.split()
         if len(parts) != 2:
-            raise ValueError(f"{at(q)}: edge line must be 'i j', got {ln!r}")
+            raise ValueError(f"{path}:{k}: edge line must be 'i j', got {ln!r}")
         try:
             i, j = int(parts[0]), int(parts[1])
         except ValueError as exc:
-            raise ValueError(f"{at(q)}: edge endpoints must be integers") from exc
+            raise ValueError(f"{path}:{k}: edge endpoints must be integers") from exc
         if not 0 <= i < j < n:
             if not i < j:
-                raise ValueError(f"{at(q)}: edges must be written with i < j, got {i} {j}")
-            raise ValueError(f"{at(q)}: edge ({i},{j}) out of range for n={n}")
+                raise ValueError(f"{path}:{k}: edges must be written with i < j, got {i} {j}")
+            raise ValueError(f"{path}:{k}: edge ({i},{j}) out of range for n={n}")
         edges.append((i, j))
     if len(set(edges)) < m:
         seen: set[tuple[int, int]] = set()
-        for q, (i, j) in enumerate(edges, start=1):
+        for (k, _), (i, j) in zip(body, edges):
             if (i, j) in seen:
-                raise ValueError(f"{at(q)}: duplicate edge ({i},{j})")
+                raise ValueError(f"{path}:{k}: duplicate edge ({i},{j})")
             seen.add((i, j))
     return Graph(n, tuple(edges))

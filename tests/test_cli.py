@@ -54,6 +54,13 @@ class TestSpectral:
         assert blob["error"].count(str(path)) == 1
         assert blob["type"] == kind
 
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "g.edges"
+        path.write_bytes(b"3 2\n0 1\n1 \xff2\n")
+        code, out, err = run(capsys, ["spectral", str(path)])
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert json.loads(err) == {"error": f"{path}:3: not UTF-8 text", "type": "ValueError"}
+
     @pytest.mark.parametrize(
         "flag, value, reason",
         [
@@ -456,6 +463,21 @@ class TestPipeline:
             "type": "NumericFailure",
         }
         assert not (tmp_path / "run").exists()
+
+    def test_empty_dataset_names_the_data_directory(self, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle,star", "--train-count", "2"]
+        assert run(capsys, argv + ["--test-count", "0", "--train-sizes", "12", "14", "--test-sizes", "12", "14"])[0] == 0
+        empty = str(data_dir / "test")
+        code, out, err = run(capsys, ["train", "--data", empty, "--out", str(tmp_path / "none"), "--epochs", "0"])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{empty}: cannot train on an empty dataset", "type": "ValueError"}
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--epochs", "0"]
+        assert run(capsys, argv)[0] == 0
+        argv = ["eval", "--checkpoint", str(tmp_path / "run" / "checkpoint.json"), "--data", empty]
+        code, out, err = run(capsys, argv + ["--out", str(tmp_path / "eval")])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{empty}: cannot evaluate an empty dataset", "type": "ValueError"}
 
     def test_huge_finite_weights_get_every_histogram(self, tmp_path, capsys):
         # One huge plain-gd step leaves b near 1e29: finite, but ±0.5 around

@@ -121,6 +121,11 @@ class TestBuildSynthetic:
             assert it.features is it.features
 
 
+def write_bytes(path, text):
+    """Write ``text`` as UTF-8, each lone surrogate U+DCXX as the raw byte 0xXX."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
 def write_tu_fixture(root, name="TOY", a_lines=None, ind_lines=None):
     """Triangle (nodes 1-3) plus square (nodes 4-7), edges in both directions."""
     root.mkdir(parents=True, exist_ok=True)
@@ -131,8 +136,8 @@ def write_tu_fixture(root, name="TOY", a_lines=None, ind_lines=None):
         ]
     if ind_lines is None:
         ind_lines = ["1", "1", "1", "2", "2", "2", "2"]
-    (root / f"{name}_A.txt").write_text("\n".join(a_lines) + "\n")
-    (root / f"{name}_graph_indicator.txt").write_text("\n".join(ind_lines) + "\n")
+    write_bytes(root / f"{name}_A.txt", "\n".join(a_lines) + "\n")
+    write_bytes(root / f"{name}_graph_indicator.txt", "\n".join(ind_lines) + "\n")
 
 
 class TestIngestTu:
@@ -204,8 +209,10 @@ class TestIngestTu:
             (["1, 2"], ["1", "0"], r"_graph_indicator\.txt:2: graph ids are 1-indexed, got 0"),
             (["1, 2"], [""], r"_graph_indicator\.txt: no nodes listed"),
             (["1, 2", "2, x"], ["1", "1"], r"_A\.txt:2: expected two integers, got '2, x'"),
+            (["1, 2", "", "2, \udcff"], ["1", "1"], r"_A\.txt:3: not UTF-8 text"),
+            (["1, 2"], ["1", "\udcff"], r"_graph_indicator\.txt:2: not UTF-8 text"),
         ],
-        ids=["graph-id-not-int", "graph-id-zero", "empty-indicator", "endpoint-not-int"],
+        ids=["graph-id-not-int", "graph-id-zero", "empty-indicator", "endpoint-not-int", "edges-not-utf8", "ids-not-utf8"],
     )
     def test_malformed_line_reports_file_and_line(self, tmp_path, a_lines, ind_lines, pattern):
         write_tu_fixture(tmp_path, a_lines=a_lines, ind_lines=ind_lines)
@@ -279,6 +286,13 @@ class TestSaveLoad:
         assert manifest["count"] == 4
         assert manifest["name"] == "toy"
         assert DatasetSpec.from_dict(manifest["spec"]) == spec
+
+    def test_blank_lines_in_targets_are_skipped(self, tmp_path):
+        items, _ = build_synthetic(small_spec(train_count=3, test_count=0))
+        save_dataset(items, tmp_path / "ds")
+        csv = tmp_path / "ds" / "targets.csv"
+        csv.write_text("\n" + csv.read_text().replace("\n", "\n  \n"))
+        assert load_dataset(tmp_path / "ds")[0] == items
 
     def test_build_save_load_preprocess_run_no_feature_pass(self, tmp_path, feature_builds):
         spec = small_spec(families=("cycle", "er"), train_count=4, test_count=2)
@@ -456,15 +470,34 @@ class TestSaveLoad:
                 lambda text: text.replace(",cycle,10", ",cycle,11"),
                 r"targets\.csv:2: node count 11 disagrees with edge file \(10\)",
             ),
+            (
+                "targets.csv",
+                lambda text: text.replace("\n", "\n\n", 1).replace(",cycle,", ",cycle,x,"),
+                r"targets\.csv:3: expected 4 columns",
+            ),
+            ("targets.csv", lambda text: text.replace(",cycle,", ",cycl\udcff,"), r"targets\.csv:2: not UTF-8 text"),
+            (
+                "targets.csv",
+                lambda text: text.replace("\n1,", "\n0,"),
+                r"targets\.csv:3: expected id 1 \(ids run 0\.\.count-1 in row order\), got 0",
+            ),
+            ("targets.csv", lambda text: None, r"ds: no targets\.csv$"),
         ],
-        ids=["not-object", "syntax", "format", "seeds-list", "seed-not-int", "spec-list", "columns", "node-count"],
+        ids=[
+            "not-object", "syntax", "format", "seeds-list", "seed-not-int", "spec-list",
+            "columns", "node-count", "line-after-blank", "not-utf8", "repeated-id", "missing",
+        ],
     )
     def test_damaged_file_is_named(self, tmp_path, name, edit, pattern):
         spec = small_spec(train_count=2, test_count=0, train_size_range=(10, 10))
         items, _ = build_synthetic(spec)
         save_dataset(items, tmp_path / "ds", spec=spec)
         path = tmp_path / "ds" / name
-        path.write_text(edit(path.read_text()))
+        text = edit(path.read_text())
+        if text is None:
+            path.unlink()
+        else:
+            write_bytes(path, text)
         with pytest.raises(DatasetFormatError, match=pattern):
             load_dataset(tmp_path / "ds")
 

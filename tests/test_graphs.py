@@ -303,12 +303,15 @@ class TestEdgelistIO:
             ("3 2\n0 1\n1 5\n", r":3: edge \(1,5\) out of range for n=3"),
             ("3 2\n0 1\n\n0 1\n", r":4: duplicate edge \(0,1\)"),
             ("\n0 0\n", r":2: graph needs at least one node, got n=0"),
+            ("\n3 2\n0 1\n\n", r":2: header claims 2 edges, found 1"),
+            ("3 2\n0 1\n\n\udcff 2\n", r":4: not UTF-8 text"),
         ],
-        ids=["after-blank-line", "out-of-range", "duplicate", "no-nodes"],
+        ids=["after-blank-line", "out-of-range", "duplicate", "no-nodes", "edge-count", "not-utf8"],
     )
     def test_errors_name_the_original_line(self, tmp_path, text, message):
         path = tmp_path / "bad.edges"
-        path.write_text(text)
+        # A lone surrogate U+DCXX is written as the raw byte 0xXX.
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}{message}"):
             read_edgelist(path)
 

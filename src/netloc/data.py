@@ -389,7 +389,12 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
         if not math.isfinite(target):
             raise DatasetFormatError(f"{where}: target must be a finite number, got {parts[1]!r}")
         family, n = parts[2], _cell(where, "node count", int, parts[3])
-        g = read_edgelist(directory / "graphs" / f"{ident:06d}.edges")
+        try:
+            g = read_edgelist(directory / "graphs" / f"{ident:06d}.edges")
+        except FileNotFoundError:
+            raise DatasetFormatError(f"{directory}: no graphs/{ident:06d}.edges") from None
+        except ValueError as exc:
+            raise DatasetFormatError(str(exc)) from exc
         if g.n != n:
             raise DatasetFormatError(f"{where}: node count {n} disagrees with edge file ({g.n})")
         seed = seeds.get(str(ident))

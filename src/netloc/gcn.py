@@ -17,6 +17,14 @@ The backward pass runs the layer loop in reverse and reads only what
 stands for s_i nodes in each weight gradient, P(l)^T (s * dQ(l)). On a
 discrete partition (k = n, as with distinct feature rows) this is the
 per-node network in node order, bit for bit.
+
+The same lines run over leading batch axes: one prepared graph, (Ahat, H0, s)
+of shapes (k, k), (k, d) and (k,), or a stack of G graphs with equal k,
+shaped (G, k, k), (G, k, d) and (G, k). On a stack yhat and dL/dyhat are
+(G,) vectors, and each weight gradient is one 2-D product over the stack's
+G*k rows. ``batch_step`` trains on such stacks (:meth:`GCN._groups`): graphs
+of equal k, at most cap // k to a stack, where cap is the batch's largest
+node count, so no stack has more rows than a per-node pass over that graph.
 """
 
 from __future__ import annotations
@@ -36,7 +44,8 @@ _LAYERS = ("w0", "w1", "w2")
 
 @dataclass
 class GcnActivations:
-    """What backward reads of one forward pass; ``p[l - 1]`` and ``q[l - 1]`` hold P(l) and Q(l)."""
+    """What backward reads of one forward pass, over one graph or a stack; ``p[l - 1]`` and
+    ``q[l - 1]`` hold P(l) and Q(l)."""
 
     ahat: np.ndarray
     p: list[np.ndarray]
@@ -83,22 +92,42 @@ class GCN(GraphRegressor):
         b[np.diag_indices(s.size)] += 1.0  # B + I
         return normalized_counts(b), h0[np.unique(cls, return_index=True)[1]], s
 
-    def forward(self, params, inputs, train: bool = False, rng=None) -> tuple[float, GcnActivations]:
+    def forward(self, params, inputs, train: bool = False, rng=None) -> tuple[float | np.ndarray, GcnActivations]:
+        """``yhat`` of one prepared graph, or a ``(G,)`` vector of a stack of G with equal k."""
         ahat, h, s = inputs
         p, q = [], []
         for name in _LAYERS:
             p.append(ahat @ h)
             q.append(p[-1] @ params[name])
             h = relu(q[-1])
-        z = (s[:, None] * h).sum(axis=0) / s.sum()
+        z = (s[..., None] * h).sum(axis=-2) / s.sum(axis=-1)[..., None]
         return self._readout(params, z), GcnActivations(ahat, p, q, z, s)
 
-    def backward(self, params, acts: GcnActivations, dy: float) -> dict[str, np.ndarray]:
-        """Gradients of dy * yhat's upstream loss term for one graph."""
-        grads, dh = self._readout_backward(params, acts.z, acts.s.sum(), dy)
+    def backward(self, params, acts: GcnActivations, dy) -> dict[str, np.ndarray]:
+        """Gradients of dy * yhat's upstream loss terms, summed over a stack's graphs."""
+        grads, dh = self._readout_backward(params, acts.z, acts.s.sum(axis=-1), dy)
+        dh = dh[..., None, :]
         for layer, name in reversed(list(enumerate(_LAYERS))):
             dq = relu_grad(acts.q[layer]) * dh
-            grads[name] = acts.p[layer].T @ (acts.s[:, None] * dq)
+            p, sdq = acts.p[layer], acts.s[..., None] * dq
+            grads[name] = p.reshape(-1, p.shape[-1]).T @ sdq.reshape(-1, sdq.shape[-1])
             if layer > 0:
                 dh = acts.ahat @ (dq @ params[name].T)
         return grads
+
+    def _groups(self, inputs_list):
+        """Stacks of prepared graphs with equal k, at most cap // k graphs each, cap
+        being the batch's largest node count: no group has more rows than that graph."""
+        by_k: dict[int, list[int]] = {}
+        for i, (_, _, s) in enumerate(inputs_list):
+            by_k.setdefault(s.size, []).append(i)
+        # np.array stacks arrays of one shape as np.stack does, at half its cost on small ones.
+        sizes = {k: np.array([inputs_list[i][2] for i in members]) for k, members in by_k.items()}
+        cap = max(int(s.sum(axis=1).max()) for s in sizes.values())
+        for k, members in by_k.items():
+            step = cap // k
+            for start in range(0, len(members), step):
+                idx = members[start : start + step]
+                ahat = np.array([inputs_list[i][0] for i in idx])
+                h0 = np.array([inputs_list[i][1] for i in idx])
+                yield idx, (ahat, h0, sizes[k][start : start + step])

@@ -25,12 +25,15 @@ CHECKPOINT_VERSION = 1
 class GraphRegressor:
     """Base class: subclasses provide ``widths``, ``init_params``, ``prepare``, ``forward`` and ``backward``.
 
-    ``forward`` returns ``(yhat, activations)`` for one prepared graph: only
-    what ``backward`` reads, plus ``kinks``, the arrays entering a ReLU or
-    LeakyReLU. ``backward`` maps ``(params, activations, dL/dyhat)`` to a
-    gradient dict with the same keys and shapes as ``params``. The base class
-    holds the shared feature check, the linear head on the mean of the node
-    rows (each model pools its own rows) and its backward.
+    ``forward`` returns ``(yhat, activations)`` for one group of prepared
+    graphs: only what ``backward`` reads, plus ``kinks``, the arrays entering
+    a ReLU or LeakyReLU. ``backward`` maps ``(params, activations, dL/dyhat)``
+    to a gradient dict with the same keys and shapes as ``params``, summed
+    over the group. ``_groups`` splits a batch into groups; by default each
+    graph is its own group, with a scalar ``yhat`` and ``dL/dyhat``, and a
+    model that stacks graphs overrides it and takes one entry per graph. The
+    base class holds the shared feature check, the linear head on the mean
+    of the node rows (each model pools its own rows) and its backward.
     """
 
     kind: str = ""
@@ -45,15 +48,21 @@ class GraphRegressor:
         return h0
 
     @staticmethod
-    def _readout(params, z: np.ndarray) -> float:
-        """``yhat = z @ w_lin + b`` for the graph's pooled vector ``z``, the mean of its node rows."""
-        return float(z @ params["w_lin"][:, 0] + params["b"])
+    def _readout(params, z: np.ndarray):
+        """``yhat = z @ w_lin + b`` for each pooled vector ``z``, the mean of a graph's node rows.
+
+        ``z`` is ``(f,)`` for one graph, giving a scalar, or ``(G, f)`` for a
+        group, giving ``(G,)``.
+        """
+        return z @ params["w_lin"][:, 0] + params["b"]
 
     @staticmethod
-    def _readout_backward(params, z: np.ndarray, n: int, dy: float) -> tuple[dict[str, np.ndarray], np.ndarray]:
-        """Head gradients and ``dL/dh``, the same ``dy * w_lin / n`` for each of the ``n`` nodes."""
-        dz = dy * params["w_lin"][:, 0]
-        return {"w_lin": dy * z[:, None], "b": np.array(dy)}, dz / n
+    def _readout_backward(params, z: np.ndarray, n, dy) -> tuple[dict[str, np.ndarray], np.ndarray]:
+        """Head gradients summed over the group and ``dL/dh``, the same ``dy * w_lin / n`` for
+        each of a graph's ``n`` nodes; ``n`` and ``dy`` are scalars or one entry per graph."""
+        dy, n = np.asarray(dy), np.asarray(n)
+        grads = {"w_lin": z.reshape(-1, z.shape[-1]).T @ dy.reshape(-1, 1), "b": dy.sum()}
+        return grads, dy[..., None] * params["w_lin"][:, 0] / n[..., None]
 
     def predict(self, params, inputs_list) -> np.ndarray:
         """Eval-mode predictions for an iterable of prepared graphs."""
@@ -70,9 +79,10 @@ class GraphRegressor:
     ) -> tuple[float, dict[str, np.ndarray]]:
         """Loss and summed parameter gradients over one batch.
 
-        Gradients are accumulated in batch order, so the result is
+        The batch runs one group at a time, as :meth:`_groups` splits it.
+        Gradients are accumulated in group order, so the result is
         deterministic for a fixed batch ordering. The loss is elementwise, so
-        each graph's backward runs right after its forward and frees its
+        each group's backward runs right after its forward and frees its
         activations; backward draws no random numbers.
         """
         targets = np.asarray(targets, dtype=np.float64)
@@ -84,13 +94,18 @@ class GraphRegressor:
             )
         preds = np.empty(len(inputs_list))
         grads = {name: np.zeros_like(params[name]) for name in self.param_names}
-        for k, inp in enumerate(inputs_list):
-            preds[k], acts = self.forward(params, inp, train=train, rng=rng)
-            dy = _loss_grad(preds[k], targets[k], kind, 2.0) / len(inputs_list)
-            g = self.backward(params, acts, float(dy))
+        for idx, inp in self._groups(inputs_list):
+            preds[idx], acts = self.forward(params, inp, train=train, rng=rng)
+            dy = _loss_grad(preds[idx], targets[idx], kind, 2.0) / len(inputs_list)
+            g = self.backward(params, acts, dy)
             for name in self.param_names:
                 grads[name] += g[name]
         return loss(preds, targets, kind), grads
+
+    def _groups(self, inputs_list):
+        """``(index, inputs)`` for each group that one forward and backward run:
+        by default each graph alone, under its position in the batch."""
+        return enumerate(inputs_list)
 
 
 def save_checkpoint(path: str | Path, model: GraphRegressor, params: dict, config: dict | None = None) -> None:

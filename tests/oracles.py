@@ -292,6 +292,25 @@ def gcn_straight_line(
     return yhat, {"w0": dw0, "w1": dw1, "w2": dw2, "w_lin": dy * z[:, None], "b": np.array(dy)}
 
 
+def per_graph_batch_step(model, params: dict, inputs_list, targets: np.ndarray, kind) -> tuple[float, dict]:
+    """Loss and summed gradients of a batch, one ``forward`` and ``backward`` per graph in batch order.
+
+    ``batch_step`` groups graphs before it runs them; this loop is what the
+    groups must add up to.
+    """
+    from netloc.kernels import loss, loss_grad
+
+    preds = np.empty(len(inputs_list))
+    grads = {name: np.zeros_like(params[name]) for name in model.param_names}
+    for k, inp in enumerate(inputs_list):
+        preds[k], acts = model.forward(params, inp)
+        dy = loss_grad(preds[k : k + 1], targets[k : k + 1], kind)[0] / len(inputs_list)
+        g = model.backward(params, acts, float(dy))
+        for name in model.param_names:
+            grads[name] += g[name]
+    return loss(preds, targets, kind), grads
+
+
 def ipr_direct(v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     return float(np.sum(v**4) / np.sum(v**2) ** 2)

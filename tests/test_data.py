@@ -482,10 +482,17 @@ class TestSaveLoad:
                 r"targets\.csv:3: expected id 1 \(ids run 0\.\.count-1 in row order\), got 0",
             ),
             ("targets.csv", lambda text: None, r"ds: no targets\.csv$"),
+            (
+                "graphs/000001.edges",
+                lambda text: text.replace("\n", "\nx", 1),
+                r"graphs/000001\.edges:2: edge endpoints must be integers$",
+            ),
+            ("graphs/000001.edges", lambda text: None, r"ds: no graphs/000001\.edges$"),
         ],
         ids=[
             "not-object", "syntax", "format", "seeds-list", "seed-not-int", "spec-list",
             "columns", "node-count", "line-after-blank", "not-utf8", "repeated-id", "missing",
+            "edges-line", "edges-missing",
         ],
     )
     def test_damaged_file_is_named(self, tmp_path, name, edit, pattern):

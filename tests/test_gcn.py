@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from netloc.graphs import Graph, make_cycle, make_er, make_path, make_scale_free
 from netloc.kernels import LOG_MSE, MSE, loss, loss_grad, normalized_adjacency
 from netloc.optim import GradientDescent
 
-from oracles import fd_gradient, gcn_straight_line
+from oracles import fd_gradient, gcn_straight_line, per_graph_batch_step
 
 
 def connected_er(n, p, seed):
@@ -192,6 +194,68 @@ class TestBatchGradients:
         inputs, _ = self.build_batch(model, n_graphs=2, seed=1)
         with pytest.raises(ValueError, match="batch size"):
             model.batch_step(params, inputs, np.array([0.1]))
+
+
+class TestGroupedBatch:
+    @staticmethod
+    def mixed_batch(model):
+        # Every family, several graphs per class count k, and two ER graphs
+        # with k = n = 6: the largest graph has 12 nodes, so they share a stack.
+        graphs = [make_cycle(n) for n in (9, 10, 12, 12)]
+        graphs += [make_star(n) for n in (7, 9, 12)] + [make_wheel(n) for n in (8, 11)]
+        graphs += [make_path(n) for n in (8, 9, 10, 10)]
+        graphs += [make_scale_free(n, 2, seed=n) for n in (10, 12)]
+        graphs += [connected_er(6, 0.6, seed=s) for s in (11, 15)]
+        rng = np.random.default_rng(24)
+        order = rng.permutation(len(graphs))
+        inputs = [model.prepare(graphs[i], build_feature_matrix(graphs[i])) for i in order]
+        return inputs, rng.uniform(0.05, 0.5, len(inputs))
+
+    @pytest.mark.parametrize("kind", [MSE, LOG_MSE], ids=["mse", "logmse"])
+    @pytest.mark.parametrize("batch_size", [None, 3], ids=["full", "three"])
+    def test_matches_per_graph_loop(self, batch_size, kind):
+        model = GCN(d=7, k0=6, k1=5, k2=4)
+        params = model.init_params(23)
+        params["b"] = np.array(0.5)
+        inputs, targets = self.mixed_batch(model)
+        size = batch_size or len(inputs)
+        for start in range(0, len(inputs), size):
+            batch, ys = inputs[start : start + size], targets[start : start + size]
+            got_loss, got = model.batch_step(params, batch, ys, kind)
+            ref_loss, ref = per_graph_batch_step(model, params, batch, ys, kind)
+            assert abs(got_loss - ref_loss) <= 1e-14 * ref_loss
+            for name in model.param_names:
+                assert np.max(np.abs(got[name] - ref[name])) <= 1e-13 * np.max(np.abs(ref[name])), name
+
+    def test_groups_stack_equal_k_up_to_the_largest_graph(self):
+        stacks = []
+
+        class Recording(GCN):
+            def forward(self, params, inputs, train=False, rng=None):
+                stacks.append(inputs[2].shape)
+                return super().forward(params, inputs, train, rng)
+
+        model = Recording(d=7, k0=6, k1=5, k2=4)
+        inputs, targets = self.mixed_batch(model)
+        model.batch_step(model.init_params(25), inputs, targets)
+        # A stack of k-row graphs holds at most 12 // k of them, and a k takes as few stacks as that allows.
+        counts = Counter(inp[2].size for inp in inputs)
+        assert (2, 6) in stacks and all(g <= 12 // k for g, k in stacks)
+        assert Counter(k for _, k in stacks) == {k: -(-c // (12 // k)) for k, c in counts.items()}
+        assert sum(g for g, _ in stacks) == len(inputs) and len(stacks) < len(inputs)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_batch_of_one_is_forward_and_backward(self, family):
+        model = GCN(d=7, k0=6, k1=5, k2=4)
+        params = model.init_params(26)
+        g = TestLayerLoop.GRAPHS[family]()
+        inp = model.prepare(g, build_feature_matrix(g))
+        yhat, acts = model.forward(params, inp)
+        grads = model.backward(params, acts, float(loss_grad(np.array([yhat]), np.array([0.2]))[0]))
+        got_loss, got = model.batch_step(params, [inp], [0.2])
+        assert got_loss == loss(np.array([yhat]), np.array([0.2]))
+        for name in model.param_names:
+            assert np.array_equal(got[name], grads[name]), name
 
 
 class TestBehaviour:

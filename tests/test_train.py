@@ -167,14 +167,26 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(tiny_config(), [])
 
-    def test_batch_step_peak_memory_is_that_of_one_graph(self):
-        # Each graph's backward runs right after its forward, so a batch
-        # holds one graph's activations at a time, not the whole batch's.
-        items = tiny_items(train_count=50, families=("er", "scale_free"), size_range=(30, 40))
-        model = build_model(TrainConfig(model="gat"))
+    @pytest.mark.parametrize("model_kind", ["gat", "gcn"])
+    def test_batch_step_peak_memory_is_that_of_one_graph(self, model_kind):
+        # Each group's backward runs right after its forward, so a batch holds
+        # one group's activations at a time, not the whole batch's. A GAT
+        # group is one graph. A GCN group stacks graphs of equal class count
+        # k, at most as many rows as the largest graph has nodes, so cycles
+        # and stars weigh no more than one ER graph of that size, where k = n.
+        if model_kind == "gat":
+            items = tiny_items(train_count=50, families=("er", "scale_free"), size_range=(30, 40))
+        else:
+            # 200 graphs: about 300 rows in all, so one stack of every k would not pass.
+            items = tiny_items(train_count=200, families=("cycle", "star"), size_range=(30, 40))
+            n = max(it.graph.n for it in items)
+            items += tiny_items(train_count=1, families=("er",), size_range=(n, n))
+        model = build_model(TrainConfig(model=model_kind))
         params = model.init_params(0)
         inputs = [model.prepare(it.graph, it.features) for it in items]
         targets = np.array([it.target for it in items])
+        if model_kind == "gcn":
+            assert inputs[-1][2].size == items[-1].graph.n
 
         def peak(batch, ys):
             tracemalloc.start()
@@ -184,7 +196,7 @@ class TestTrainLoop:
             finally:
                 tracemalloc.stop()
 
-        k = int(np.argmax([graph.n for graph, _ in inputs]))
+        k = len(inputs) - 1 if model_kind == "gcn" else int(np.argmax([graph.n for graph, _ in inputs]))
         assert peak(inputs, targets) <= 2 * peak(inputs[k : k + 1], targets[k : k + 1])
 
 

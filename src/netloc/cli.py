@@ -97,6 +97,9 @@ def _naming(path: str):
     except (ValueError, RuntimeError) as exc:
         exc.args = (f"{path}: {exc}",)
         raise
+    except MemoryError as exc:
+        # numpy's allocation error builds its message from the request, not from args.
+        raise MemoryError(f"{path}: {exc}") from exc
 
 
 def _cmd_spectral(args) -> int:

@@ -21,9 +21,9 @@ import numpy as np
 from .features import build_feature_matrix
 from .graphs import (
     Graph,
+    draw_connected_er,
     is_connected,
     make_cycle,
-    make_er,
     make_path,
     make_scale_free,
     make_star,
@@ -176,13 +176,7 @@ def _build_instance(family: str, n: int, spec: DatasetSpec, rng: np.random.Gener
         seed = int(rng.integers(2**63))
         return make_scale_free(n, spec.sf_m, seed), seed
     if family == "er":
-        p = spec.er_mean_degree / n
-        for _ in range(1000):
-            seed = int(rng.integers(2**63))
-            g = make_er(n, p, seed)
-            if is_connected(g):
-                return g, seed
-        raise RuntimeError(f"no connected G({n}, {p:.4f}) instance in 1000 attempts")
+        return draw_connected_er(n, spec.er_mean_degree / n, rng, 1000)
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -306,8 +300,15 @@ def save_dataset(
     spec: DatasetSpec | None = None,
     name: str | None = None,
 ) -> None:
-    """Write the native layout; output bytes depend only on the items."""
+    """Write the native layout; output bytes depend only on the items.
+
+    A family that holds a comma or a line break, which would split its
+    ``targets.csv`` row, is refused before anything is written.
+    """
     directory = Path(directory)
+    for i, it in enumerate(items):
+        if "," in it.family or "".join(it.family.splitlines()) != it.family:
+            raise ValueError(f"{directory}: item {i}: family {it.family!r} holds a comma or line break")
     (directory / "graphs").mkdir(parents=True, exist_ok=True)
     manifest = {
         "format": DATASET_FORMAT,

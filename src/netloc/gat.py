@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import Graph
-from .kernels import glorot_init, leaky_relu, leaky_relu_grad, mean_pool, relu, relu_grad
+from .kernels import glorot_init, leaky_relu, leaky_relu_grad, relu, relu_grad
 from .models import GraphRegressor
 
 __all__ = ["GatActivations", "GAT"]
@@ -77,6 +77,7 @@ class GAT(GraphRegressor):
     """
 
     kind = "gat"
+    width_names = ("d", "heads", "f1", "f2", "dropout", "bias_init")
 
     def __init__(self, d: int, heads: int, f1: int, f2: int, dropout: float, bias_init: float = 0.15):
         if min(d, heads, f1, f2) < 1:
@@ -85,11 +86,7 @@ class GAT(GraphRegressor):
             raise ValueError(f"dropout must lie in [0,1), got {dropout}")
         if not np.isfinite(bias_init):
             raise ValueError(f"bias_init must be finite, got {bias_init}")
-        self.d = d
-        self.heads = heads
-        self.f1 = f1
-        self.f2 = f2
-        self.dropout = dropout
+        self.d, self.heads, self.f1, self.f2, self.dropout = d, heads, f1, f2, dropout
         self.bias_init = float(bias_init)
         # Per layer: each head's weight name, then each head's attention name.
         self._layers = (
@@ -98,18 +95,8 @@ class GAT(GraphRegressor):
         )
         self.param_names = sum((sum(zip(*layer), ()) for layer in self._layers), ()) + ("w_lin", "b")
 
-    def widths(self) -> dict:
-        return {
-            "d": self.d,
-            "heads": self.heads,
-            "f1": self.f1,
-            "f2": self.f2,
-            "dropout": self.dropout,
-            "bias_init": self.bias_init,
-        }
-
     def init_params(self, seed: int | np.random.Generator) -> dict[str, np.ndarray]:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
         for h in range(self.heads):
             params[f"w1h{h}"] = glorot_init(self.d, self.f1, rng)
@@ -180,8 +167,8 @@ class GAT(GraphRegressor):
             a = np.stack([params[k] for k in a_names])
             attn.append(self._attend((xs[-1] @ w).reshape(graph.n, len(w_names), -1), a, graph, train, rng, keep))
             h = relu(attn[-1].s).reshape(graph.n, -1)
-        z = mean_pool(h)
-        return self._readout(params, z), GatActivations(graph, xs, masks, attn, z)
+        yhat, z = self._readout(params, h, np.ones(graph.n))
+        return yhat, GatActivations(graph, xs, masks, attn, z)
 
     def backward(self, params, acts: GatActivations, dy: float) -> dict[str, np.ndarray]:
         graph = acts.graph

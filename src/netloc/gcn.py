@@ -63,20 +63,15 @@ class GCN(GraphRegressor):
 
     kind = "gcn"
     param_names = ("w0", "w1", "w2", "w_lin", "b")
+    width_names = ("d", "k0", "k1", "k2")
 
     def __init__(self, d: int, k0: int, k1: int, k2: int):
         if min(d, k0, k1, k2) < 1:
             raise ValueError(f"widths must be positive, got {(d, k0, k1, k2)}")
-        self.d = d
-        self.k0 = k0
-        self.k1 = k1
-        self.k2 = k2
-
-    def widths(self) -> dict:
-        return {"d": self.d, "k0": self.k0, "k1": self.k1, "k2": self.k2}
+        self.d, self.k0, self.k1, self.k2 = d, k0, k1, k2
 
     def init_params(self, seed: int | np.random.Generator) -> dict[str, np.ndarray]:
-        rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
         return {
             "w0": glorot_init(self.d, self.k0, rng),
             "w1": glorot_init(self.k0, self.k1, rng),
@@ -100,8 +95,8 @@ class GCN(GraphRegressor):
             p.append(ahat @ h)
             q.append(p[-1] @ params[name])
             h = relu(q[-1])
-        z = (s[..., None] * h).sum(axis=-2) / s.sum(axis=-1)[..., None]
-        return self._readout(params, z), GcnActivations(ahat, p, q, z, s)
+        yhat, z = self._readout(params, h, s)
+        return yhat, GcnActivations(ahat, p, q, z, s)
 
     def backward(self, params, acts: GcnActivations, dy) -> dict[str, np.ndarray]:
         """Gradients of dy * yhat's upstream loss terms, summed over a stack's graphs."""

@@ -22,6 +22,7 @@ __all__ = [
     "make_wheel",
     "make_er",
     "make_scale_free",
+    "draw_connected_er",
     "is_connected",
     "equitable_partition",
     "read_text",
@@ -104,15 +105,11 @@ class Graph:
         return out
 
 
-def _normalize_edges(pairs) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((int(min(i, j)), int(max(i, j))) for i, j in pairs))
-
-
 def make_cycle(n: int) -> Graph:
     """Cycle on n >= 3 nodes: 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, _normalize_edges((i, (i + 1) % n) for i in range(n)))
+    return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
 
 
 def make_path(n: int) -> Graph:
@@ -133,9 +130,8 @@ def make_wheel(n: int) -> Graph:
     """Wheel on n >= 4 nodes: hub 0 joined to every node of the rim cycle 1..n-1."""
     if n < 4:
         raise ValueError(f"wheel needs n >= 4, got {n}")
-    rim = [(i, i + 1 if i < n - 1 else 1) for i in range(1, n)]
-    hub = [(0, i) for i in range(1, n)]
-    return Graph(n, _normalize_edges(hub + rim))
+    rim = tuple((i, i + 1) for i in range(1, n - 1)) + ((1, n - 1),)
+    return Graph(n, tuple((0, i) for i in range(1, n)) + rim)
 
 
 def make_er(n: int, p: float, seed: int) -> Graph:
@@ -147,8 +143,7 @@ def make_er(n: int, p: float, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, k=1)
     keep = rng.random(rows.shape[0]) < p
-    pairs = zip(rows[keep].tolist(), cols[keep].tolist())
-    return Graph(n, tuple((int(i), int(j)) for i, j in pairs))
+    return Graph(n, tuple(zip(rows[keep].tolist(), cols[keep].tolist())))
 
 
 def make_scale_free(n: int, m: int, seed: int) -> Graph:
@@ -178,11 +173,28 @@ def make_scale_free(n: int, m: int, seed: int) -> Graph:
             edges.append((t, new))
             endpoint_pool.append(t)
             endpoint_pool.append(new)
-    return Graph(n, _normalize_edges(edges))
+    return Graph(n, tuple(edges))
+
+
+def draw_connected_er(n: int, p: float, rng: np.random.Generator, attempts: int) -> tuple[Graph, int]:
+    """The first connected :func:`make_er` graph of ``attempts`` seeds drawn from ``rng``, and its
+    seed; RuntimeError if every one is disconnected."""
+    for _ in range(attempts):
+        seed = int(rng.integers(2**63))
+        g = make_er(n, p, seed)
+        if is_connected(g):
+            return g, seed
+    raise RuntimeError(f"no connected G({n}, {p:.4f}) instance in {attempts} attempts")
 
 
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability of every node from node 0."""
+    """Breadth-first reachability of every node from node 0.
+
+    A graph with fewer than n - 1 edges is disconnected without a search, so
+    no per-node array is allocated for it.
+    """
+    if g.m < g.n - 1:
+        return False
     if g.n == 1:
         return True
     seen = bytearray(g.n)

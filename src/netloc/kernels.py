@@ -20,7 +20,6 @@ __all__ = [
     "LEAKY_SLOPE",
     "leaky_relu",
     "leaky_relu_grad",
-    "mean_pool",
     "glorot_init",
     "LOG_FLOOR",
     "LossKind",
@@ -75,20 +74,11 @@ def leaky_relu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0.0, 1.0, LEAKY_SLOPE)
 
 
-def mean_pool(h: np.ndarray) -> np.ndarray:
-    """Column means of a node-embedding matrix: the graph readout vector."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] == 0:
-        raise ValueError(f"mean_pool needs a nonempty 2-D matrix, got shape {h.shape}")
-    return h.mean(axis=0)
-
-
 def glorot_init(f_in: int, f_out: int, rng: int | np.random.Generator) -> np.ndarray:
     """Glorot-uniform matrix: i.i.d. U(-L, L) with L = sqrt(6 / (f_in + f_out))."""
     if f_in < 1 or f_out < 1:
         raise ValueError(f"fan sizes must be positive, got ({f_in}, {f_out})")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)
     limit = np.sqrt(6.0 / (f_in + f_out))
     return rng.uniform(-limit, limit, size=(f_in, f_out))
 

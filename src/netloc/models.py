@@ -23,7 +23,7 @@ CHECKPOINT_VERSION = 1
 
 
 class GraphRegressor:
-    """Base class: subclasses provide ``widths``, ``init_params``, ``prepare``, ``forward`` and ``backward``.
+    """Base class: subclasses provide ``width_names``, ``init_params``, ``prepare``, ``forward`` and ``backward``.
 
     ``forward`` returns ``(yhat, activations)`` for one group of prepared
     graphs: only what ``backward`` reads, plus ``kinks``, the arrays entering
@@ -32,13 +32,19 @@ class GraphRegressor:
     over the group. ``_groups`` splits a batch into groups; by default each
     graph is its own group, with a scalar ``yhat`` and ``dL/dyhat``, and a
     model that stacks graphs overrides it and takes one entry per graph. The
-    base class holds the shared feature check, the linear head on the mean
-    of the node rows (each model pools its own rows) and its backward.
+    base class holds the shared feature check, ``widths``, and the readout
+    both models end in (it pools the node rows, then applies the linear
+    head) with its backward.
     """
 
     kind: str = ""
     d: int
     param_names: tuple[str, ...] = ()
+    width_names: tuple[str, ...] = ()
+
+    def widths(self) -> dict:
+        """The constructor's arguments by name, each kept as the attribute of that name."""
+        return {name: getattr(self, name) for name in self.width_names}
 
     def _checked_features(self, graph, h0: np.ndarray) -> np.ndarray:
         """``h0`` as float64, checked to be the graph's ``(n, d)`` feature matrix."""
@@ -48,13 +54,15 @@ class GraphRegressor:
         return h0
 
     @staticmethod
-    def _readout(params, z: np.ndarray):
-        """``yhat = z @ w_lin + b`` for each pooled vector ``z``, the mean of a graph's node rows.
+    def _readout(params, h: np.ndarray, s: np.ndarray):
+        """``(yhat, z)``: ``z = sum_i s_i h_i / sum_i s_i`` pools the rows of ``h``, row i standing
+        for ``s_i`` nodes (unit sizes give the row mean, bit for bit), and ``yhat = z @ w_lin + b``.
 
-        ``z`` is ``(f,)`` for one graph, giving a scalar, or ``(G, f)`` for a
-        group, giving ``(G,)``.
+        ``h`` and ``s`` are ``(k, f)`` and ``(k,)`` for one graph, giving a scalar ``yhat``,
+        or ``(G, k, f)`` and ``(G, k)`` for a group, giving ``(G,)``.
         """
-        return z @ params["w_lin"][:, 0] + params["b"]
+        z = (s[..., None] * h).sum(axis=-2) / s.sum(axis=-1)[..., None]
+        return z @ params["w_lin"][:, 0] + params["b"], z
 
     @staticmethod
     def _readout_backward(params, z: np.ndarray, n, dy) -> tuple[dict[str, np.ndarray], np.ndarray]:

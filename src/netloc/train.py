@@ -17,7 +17,7 @@ import numpy as np
 from .data import LabeledGraph, checked_fields
 from .gat import GAT
 from .gcn import GCN
-from .graphs import is_connected, make_er
+from .graphs import draw_connected_er
 from .kernels import LossKind, loss
 from .models import GraphRegressor, save_checkpoint
 from .optim import make_optimizer
@@ -329,17 +329,8 @@ def gradient_check(model_kind: str, seed: int) -> float:
         prepared = []
         for _ in range(2):
             n = int(rng.integers(_GRADCHECK_N_RANGE[0], _GRADCHECK_N_RANGE[1] + 1))
-            g = None
-            for _ in range(100):
-                cand = make_er(n, 0.5, int(rng.integers(2**63)))
-                if is_connected(cand):
-                    g = cand
-                    break
-            if g is None:
-                break
+            g, _ = draw_connected_er(n, 0.5, rng, 100)
             prepared.append(model.prepare(g, rng.random((n, model.d))))
-        if len(prepared) != 2:
-            continue
         targets = rng.uniform(0.05, 0.5, size=2)
         params = model.init_params(rng)
         gap = min(_kink_gap(model, params, inp) for inp in prepared)

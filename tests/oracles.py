@@ -66,6 +66,11 @@ def adjacency_matrix(g) -> np.ndarray:
     return a
 
 
+def canonical_edges(pairs) -> tuple[tuple[int, int], ...]:
+    """An undirected edge list in the form ``Graph`` stores: sorted ``(min, max)`` pairs."""
+    return tuple(sorted((min(i, j), max(i, j)) for i, j in pairs))
+
+
 def adjacency_lists(g) -> tuple[tuple[int, ...], ...]:
     """Sorted neighbour tuples, one per node, built from ``g.edges``."""
     adj: list[list[int]] = [[] for _ in range(g.n)]

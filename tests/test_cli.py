@@ -41,8 +41,10 @@ class TestSpectral:
         [
             ("4 2\n0 1\n2 3\n", [], "power iteration needs a connected graph", "ValueError"),
             ("3 2\n0 1\n1 2\n", ["--max-iter", "1"], "power iteration did not reach", "ConvergenceError"),
+            # Too few edges to connect 10**12 nodes: refused before any per-node array is allocated.
+            ("1000000000000 0\n", [], "power iteration needs a connected graph", "ValueError"),
         ],
-        ids=["disconnected", "max-iter"],
+        ids=["disconnected", "max-iter", "huge-n"],
     )
     def test_unprocessable_graph_names_the_file(self, tmp_path, capsys, text, extra, reason, kind):
         path = tmp_path / "g.edges"
@@ -111,6 +113,16 @@ class TestFeatures:
         blob = json.loads(err)
         assert blob["error"] == f"{path}: {reason}"
         assert blob["type"] == "ValueError"
+
+    def test_unallocatable_node_count_names_the_file(self, tmp_path, capsys):
+        # 10**12 nodes need terabytes per feature column; the allocation is refused outright.
+        path = tmp_path / "g.edges"
+        path.write_text("1000000000000 0\n")
+        code, out, err = run(capsys, ["features", str(path)])
+        assert code == 1 and out == ""
+        blob = json.loads(err)
+        assert blob["error"].startswith(f"{path}: Unable to allocate")
+        assert blob["type"] == "MemoryError"
 
 
 class TestConfigFile:
@@ -579,6 +591,18 @@ class TestIngestTu:
         assert [it.graph.n for it in items] == [12, 12]
         assert manifest["name"] == "rings"
         assert all(it.family == "rings" for it in items)
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb"], ids=["comma", "line-break"])
+    def test_family_that_targets_csv_cannot_hold_is_refused(self, tmp_path, capsys, name):
+        from test_data import write_tu_fixture
+
+        write_tu_fixture(tmp_path / "raw", name=name)
+        code, out, err = run(
+            capsys, ["ingest-tu", str(tmp_path / "raw"), "--out", str(tmp_path / "ds"), "--name", name, "--min-nodes", "3"]
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err)["error"].startswith(f"{tmp_path / 'ds'}: item 0: family {name!r}")
+        assert not (tmp_path / "ds").exists()
 
 
 class TestGradcheck:

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from netloc.data import (
+    FAMILIES,
     DatasetFormatError,
     DatasetSpec,
     LabeledGraph,
@@ -109,6 +112,24 @@ class TestBuildSynthetic:
         for it in train:
             assert is_connected(it.graph)
             assert it.seed is not None
+
+    def test_edge_files_are_pinned(self, tmp_path):
+        # Edges only: a path's target comes from LAPACK's eigh, whose last bits may differ between builds.
+        spec = small_spec(
+            families=FAMILIES,
+            train_count=18,
+            test_count=12,
+            train_size_range=(8, 16),
+            test_size_range=(16, 24),
+            seed=5,
+            er_mean_degree=4.0,
+        )
+        digest = hashlib.sha256()
+        for name, items in zip(("train", "test"), build_synthetic(spec)):
+            save_dataset(items, tmp_path / name, spec=spec)
+            for path in sorted((tmp_path / name / "graphs").iterdir()):
+                digest.update(f"{name}/{path.name}\n".encode() + path.read_bytes())
+        assert digest.hexdigest() == "139c051ff1d493f73a5351d02f0e2aef0068cbe0bba4e0f79be7d9b16d3082f5"
 
     def test_deterministic_families_have_no_seed(self):
         train, _ = build_synthetic(small_spec(train_count=2, test_count=0))
@@ -286,6 +307,16 @@ class TestSaveLoad:
         assert manifest["count"] == 4
         assert manifest["name"] == "toy"
         assert DatasetSpec.from_dict(manifest["spec"]) == spec
+
+    @pytest.mark.parametrize("family", ["a,b", "a\nb", "a\r", "a\x0bb"], ids=["comma", "lf", "cr", "vt"])
+    def test_family_that_targets_csv_cannot_hold_is_refused(self, tmp_path, family):
+        # targets.csv splits rows at commas and lines at every break str.splitlines knows.
+        items, _ = build_synthetic(small_spec(train_count=3, test_count=0))
+        items[1] = LabeledGraph(graph=items[1].graph, target=items[1].target, family=family)
+        with pytest.raises(ValueError) as info:
+            save_dataset(items, tmp_path / "ds")
+        assert str(info.value).startswith(f"{tmp_path / 'ds'}: item 1: family {family!r}")
+        assert not (tmp_path / "ds").exists()
 
     def test_blank_lines_in_targets_are_skipped(self, tmp_path):
         items, _ = build_synthetic(small_spec(train_count=3, test_count=0))

@@ -6,6 +6,7 @@ import pytest
 
 from netloc.graphs import (
     Graph,
+    draw_connected_er,
     equitable_partition,
     is_connected,
     make_cycle,
@@ -18,7 +19,14 @@ from netloc.graphs import (
     write_edgelist,
 )
 
-from oracles import adjacency_lists, adjacency_matrix, attention_neighborhoods, colour_refinement, principal_eigenpair
+from oracles import (
+    adjacency_lists,
+    adjacency_matrix,
+    attention_neighborhoods,
+    canonical_edges,
+    colour_refinement,
+    principal_eigenpair,
+)
 
 
 class TestGraphContainer:
@@ -115,6 +123,15 @@ class TestDeterministicFamilies:
         with pytest.raises(ValueError):
             make_wheel(3)
 
+    @pytest.mark.parametrize("n", [3, 4, 250])
+    def test_cycle_edges_are_canonical(self, n):
+        assert make_cycle(n).edges == canonical_edges((i, (i + 1) % n) for i in range(n))
+
+    @pytest.mark.parametrize("n", [4, 5, 250])
+    def test_wheel_edges_are_canonical(self, n):
+        rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
+        assert make_wheel(n).edges == canonical_edges([(i, 0) for i in range(1, n)] + rim)
+
     def test_cycle_200_principal_eigenvalue_is_two(self):
         # 2-regular graph: leading adjacency eigenvalue equals the degree.
         lam, _ = principal_eigenpair(adjacency_matrix(make_cycle(30)))
@@ -138,6 +155,22 @@ class TestErdosRenyi:
 
     def test_different_seed_usually_differs(self):
         assert make_er(50, 0.1, seed=3).edges != make_er(50, 0.1, seed=4).edges
+
+    def test_draw_connected_er_keeps_the_first_connected_seed(self):
+        rng, replay = np.random.default_rng(4), np.random.default_rng(4)
+        g, seed = draw_connected_er(12, 0.2, rng, 1000)
+        seeds = [int(replay.integers(2**63))]
+        while not is_connected(make_er(12, 0.2, seeds[-1])):
+            seeds.append(int(replay.integers(2**63)))
+        assert len(seeds) > 1 and seed == seeds[-1] and g == make_er(12, 0.2, seed)
+        assert rng.integers(2**63) == replay.integers(2**63)
+
+    def test_draw_connected_er_gives_up_after_its_attempts(self):
+        rng, replay = np.random.default_rng(0), np.random.default_rng(0)
+        with pytest.raises(RuntimeError, match=re.escape("no connected G(5, 0.0000) instance in 3 attempts")):
+            draw_connected_er(5, 0.0, rng, 3)
+        replay.integers(2**63, size=3)
+        assert rng.integers(2**63) == replay.integers(2**63)
 
     def test_mean_edge_count_200_seeds(self):
         # Mean over 200 instances within 3 sigma of C(n,2) p.
@@ -170,6 +203,19 @@ class TestScaleFree:
 
     def test_same_seed_same_graph(self):
         assert make_scale_free(80, 3, seed=11).edges == make_scale_free(80, 3, seed=11).edges
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("at", ["smallest", "250"])
+    def test_edges_are_canonical(self, m, at):
+        n = m + 1 if at == "smallest" else 250
+        g = make_scale_free(n, m, seed=m)
+        # Each edge reversed and the list shuffled: only the canonical form is left to compare.
+        flipped = [(j, i) for i, j in g.edges]
+        np.random.default_rng(m).shuffle(flipped)
+        assert g.edges == canonical_edges(flipped)
+        # The seed star, then m edges from each grown node to m distinct earlier ones.
+        assert g.edges[:m] == tuple((0, i) for i in range(1, m + 1))
+        assert np.bincount([j for _, j in g.edges], minlength=n)[m + 1 :].tolist() == [m] * (n - m - 1)
 
     def test_heavier_degree_tail_than_er(self):
         # Same mean degree 2m; preferential attachment grows much larger hubs.
@@ -205,6 +251,11 @@ class TestConnectivity:
     def test_disconnected(self):
         assert not is_connected(Graph(4, ((0, 1), (2, 3))))
         assert not is_connected(Graph(3, ((0, 1),)))
+
+    def test_too_few_edges_decided_without_a_search(self):
+        # A per-node array for 10**12 nodes could not be allocated; the edge count settles it first.
+        assert not is_connected(Graph(10**12))
+        assert not is_connected(Graph(10**12, ((0, 1),)))
 
 
 PARTITION_GRAPHS = {

@@ -12,7 +12,6 @@ from netloc.kernels import (
     leaky_relu_grad,
     loss,
     loss_grad,
-    mean_pool,
     normalized_adjacency,
     relu,
     relu_grad,
@@ -102,8 +101,47 @@ class TestActivations:
             assert abs(s.sum() - 1.0) < 1e-12
             assert np.all(s > 0)
 
-    def test_mean_pool(self):
-        np.testing.assert_array_equal(mean_pool(np.array([[1.0, 2.0], [3.0, 4.0]])), [2.0, 3.0])
+
+class TestReadout:
+    """``GraphRegressor._readout``: the pooling and linear head both models end in."""
+
+    @staticmethod
+    def head(f, seed=0):
+        rng = np.random.default_rng(seed)
+        return {"w_lin": rng.normal(size=(f, 1)), "b": np.array(rng.normal())}
+
+    def test_unit_sizes_give_the_column_mean(self):
+        params = {"w_lin": np.array([[1.0], [-2.0]]), "b": np.array(0.5)}
+        yhat, z = GraphRegressor._readout(params, np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones(2))
+        np.testing.assert_array_equal(z, [2.0, 3.0])
+        assert yhat == 2.0 - 6.0 + 0.5
+        rng = np.random.default_rng(3)
+        for _ in range(300):
+            n, f = (int(v) for v in rng.integers(1, 80, size=2))
+            h = rng.normal(size=(n, f)) * 10.0 ** rng.uniform(-3, 3)
+            params = self.head(f)
+            yhat, z = GraphRegressor._readout(params, h, np.ones(n))
+            assert z.tobytes() == h.mean(axis=0).tobytes()
+            assert yhat == z @ params["w_lin"][:, 0] + params["b"]
+
+    def test_class_sizes_weight_rows_as_the_nodes_they_stand_for(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            k, f = (int(v) for v in rng.integers(1, 12, size=2))
+            h, s = rng.normal(size=(k, f)), rng.integers(1, 9, size=k).astype(np.float64)
+            _, z = GraphRegressor._readout(self.head(f), h, s)
+            np.testing.assert_allclose(z, np.repeat(h, s.astype(int), axis=0).mean(axis=0), rtol=1e-13, atol=1e-15)
+
+    def test_stack_pools_each_graph(self):
+        rng = np.random.default_rng(5)
+        h, s = rng.normal(size=(6, 4, 3)), rng.integers(1, 9, size=(6, 4)).astype(np.float64)
+        params = self.head(3)
+        yhat, z = GraphRegressor._readout(params, h, s)
+        assert yhat.shape == (6,) and z.shape == (6, 3)
+        for g in range(6):
+            y1, z1 = GraphRegressor._readout(params, h[g], s[g])
+            np.testing.assert_allclose(z[g], z1, rtol=1e-15)
+            np.testing.assert_allclose(yhat[g], y1, rtol=1e-14, atol=1e-15)
 
 
 class TestGlorot:

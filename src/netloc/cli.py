@@ -8,7 +8,6 @@ exit 2 (argparse's convention).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
 import json
@@ -18,7 +17,7 @@ from pathlib import Path
 
 from . import data as data_mod
 from .features import FEATURE_COLUMNS, build_feature_matrix
-from .graphs import read_edgelist
+from .graphs import naming, read_edgelist
 from .models import load_checkpoint
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, RegionThresholds, check_stopping_rule, ipr, label_graph, power_iteration
 from .train import (
@@ -89,24 +88,11 @@ def _read_config(path: str | None, cls, overrides: dict):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _naming(path: str):
-    """Prefix ``path`` to the message of an error raised while processing its graph."""
-    try:
-        yield
-    except (ValueError, RuntimeError) as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
-    except MemoryError as exc:
-        # numpy's allocation error builds its message from the request, not from args.
-        raise MemoryError(f"{path}: {exc}") from exc
-
-
 def _cmd_spectral(args) -> int:
     thresholds = RegionThresholds(**_given(args, RegionThresholds))
     check_stopping_rule(args.tol, args.max_iter)
     g = read_edgelist(args.edgelist)
-    with _naming(args.edgelist):
+    with naming(args.edgelist):
         res = power_iteration(g, tol=args.tol, max_iter=args.max_iter)
         y = ipr(res.pev)
         _, region = label_graph(g, thresholds, tol=args.tol, max_iter=args.max_iter)
@@ -127,7 +113,7 @@ def _cmd_spectral(args) -> int:
 
 def _cmd_features(args) -> int:
     g = read_edgelist(args.edgelist)
-    with _naming(args.edgelist):
+    with naming(args.edgelist):
         h = build_feature_matrix(g)
     lines = [",".join(FEATURE_COLUMNS)]
     lines.extend(",".join(repr(float(v)) for v in row) for row in h)
@@ -193,7 +179,9 @@ def _cmd_eval(args) -> int:
     if not items:
         raise ValueError(f"{args.data}: cannot evaluate an empty dataset")
     t0 = time.perf_counter()
-    with _naming(args.checkpoint):
+    for it in items:
+        it.features  # a feature error names the item's edge file, not the checkpoint
+    with naming(args.checkpoint):
         report = evaluate(model, params, items, thresholds)
     write_eval_report(report, args.out)
     _emit(

@@ -9,10 +9,11 @@ stored in or read from files.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -28,6 +29,7 @@ from .graphs import (
     make_scale_free,
     make_star,
     make_wheel,
+    naming,
     read_edgelist,
     read_lines,
     read_text,
@@ -67,17 +69,26 @@ class DatasetFormatError(ValueError):
 
 @dataclass(frozen=True)
 class LabeledGraph:
-    """A graph together with its spectral target."""
+    """A graph together with its spectral target.
+
+    ``source`` is the edge file the graph was read from, if any; it takes no
+    part in equality.
+    """
 
     graph: Graph
     target: float
     family: str
     seed: int | None = None
+    source: str | None = field(default=None, compare=False, repr=False)
 
     @cached_property
     def features(self) -> np.ndarray:
-        """Structural node feature matrix, built from the graph on first use."""
-        return build_feature_matrix(self.graph)
+        """Structural node feature matrix, built from the graph on first use.
+
+        An error raised while building it names ``source``.
+        """
+        with naming(self.source) if self.source else contextlib.nullcontext():
+            return build_feature_matrix(self.graph)
 
 
 @dataclass(frozen=True)
@@ -354,6 +365,8 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
     spectral oracle, at the ``label_tol`` and ``label_max_iter`` of the
     manifest's spec, or of ``DatasetSpec()`` (the oracle's defaults, which
     :func:`preprocess` labels with) when it has none, and must agree to 1e-9.
+    A graph the oracle refuses raises :class:`DatasetFormatError` naming its
+    edge file; an error in a loaded item's feature pass names that file too.
     """
     directory = Path(directory)
     man_path = directory / "manifest.json"
@@ -390,8 +403,9 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
         if not math.isfinite(target):
             raise DatasetFormatError(f"{where}: target must be a finite number, got {parts[1]!r}")
         family, n = parts[2], _cell(where, "node count", int, parts[3])
+        source = directory / "graphs" / f"{ident:06d}.edges"
         try:
-            g = read_edgelist(directory / "graphs" / f"{ident:06d}.edges")
+            g = read_edgelist(source)
         except FileNotFoundError:
             raise DatasetFormatError(f"{directory}: no graphs/{ident:06d}.edges") from None
         except ValueError as exc:
@@ -401,7 +415,7 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
         seed = seeds.get(str(ident))
         if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
             raise DatasetFormatError(f"{man_path}: seed of item {ident} must be an integer or null, got {seed!r}")
-        items.append(LabeledGraph(graph=g, target=target, family=family, seed=seed))
+        items.append(LabeledGraph(graph=g, target=target, family=family, seed=seed, source=str(source)))
     if len(items) != manifest.get("count"):
         raise DatasetFormatError(
             f"{directory}: manifest says {manifest.get('count')} items, found {len(items)}"
@@ -413,7 +427,10 @@ def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[Label
             raise DatasetFormatError(f"{man_path}: bad spec ({exc})") from exc
         for i in range(0, len(items), 20):
             it = items[i]
-            fresh = label_graph(it.graph, tol=spec.label_tol, max_iter=spec.label_max_iter)[0]
+            try:
+                fresh = label_graph(it.graph, tol=spec.label_tol, max_iter=spec.label_max_iter)[0]
+            except (ValueError, RuntimeError, MemoryError) as exc:
+                raise DatasetFormatError(f"{it.source}: {exc}") from exc
             if not math.isclose(fresh, it.target, rel_tol=0.0, abs_tol=1e-9):
                 raise DatasetFormatError(
                     f"{directory}: stored target for item {i} ({it.target}) "

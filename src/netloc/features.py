@@ -7,8 +7,19 @@ are comparable across graph sizes.
 Every column reads the cached CSR arrays of :class:`Graph`; none builds an
 n x n matrix. Degree columns are O(n), average neighbor degree O(m), PageRank
 O(m) per iteration, clustering O(m^1.5), and betweenness with closeness one
-fused O((n - p) m) BFS pass for p pendant vertices. Working memory is O(m)
-plus ``_BLOCK_PAIRS`` blocks.
+fused O(r m) BFS pass over r swept sources. Working memory is O(m) plus
+``_BLOCK_PAIRS`` blocks.
+
+The pass sweeps one source per orbit of a verified automorphism π, and no
+pendant. Betweenness and distance sums are invariant under automorphisms, so
+for the group G generated by π, a source orbit O and a node v with orbit O_v,
+
+    sum over s in O of delta_s(v) = |O| / |O_v| * sum over w in O_v of delta_s0(w)
+
+for any s0 in O, and every member of O has the distance sum of s0. The two
+candidates for π rotate or reverse each degree class in node order; each is
+used only once an O(m log m) comparison of edge keys proves it maps edges
+onto edges. With no verified candidate every orbit is a single node.
 
 A pendant vertex l (degree 1) whose neighbor a has degree > 1 is never a BFS
 source, since three exact identities give its share from a's sweep:
@@ -130,6 +141,42 @@ def degree_centrality(g: Graph) -> np.ndarray:
     return g.degrees.astype(np.float64) / (g.n - 1)
 
 
+def _orbits(g: Graph) -> np.ndarray:
+    """Each node's orbit under a verified automorphism, named by its smallest member.
+
+    Two candidates act within degree classes, taken in node order: ``rot``
+    moves each node one place along its class and wraps at the end, and
+    ``rev`` reverses each class. A candidate π counts only if the sorted
+    keys ``π[u] * n + π[v]`` of the directed edges equal those of the graph.
+    ``rot`` is one cycle on each class, so if it holds each class is an
+    orbit; else if ``rev`` holds the orbits are the pairs {v, rev(v)}; else
+    each node is its own orbit.
+    """
+    n, rows, indices = g.n, g.csr_rows, g.csr[1]
+    at = np.arange(n)
+    order = np.lexsort((at, g.degrees))
+    # Position i of ``order`` lies in the class that spans [start[i], stop[i]).
+    ranked = g.degrees[order]
+    start, stop = np.searchsorted(ranked, ranked, "left"), np.searchsorted(ranked, ranked, "right")
+    edges = np.sort(rows * n + indices)
+
+    def mapping(image: np.ndarray) -> np.ndarray:
+        # The permutation taking order[i] to order[image[i]].
+        perm = np.empty(n, dtype=np.int64)
+        perm[order] = order[image]
+        return perm
+
+    def verified(perm: np.ndarray) -> bool:
+        return np.array_equal(np.sort(perm[rows] * n + perm[indices]), edges)
+
+    if verified(mapping(np.where(at + 1 < stop, at + 1, start))):
+        return mapping(start)
+    rev = mapping(start + stop - 1 - at)
+    if verified(rev):
+        return np.minimum(at, rev)
+    return at
+
+
 def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     """Pair-normalized betweenness and each source's sum of BFS distances.
 
@@ -137,12 +184,20 @@ def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     Brandes sum over all sources counts each unordered pair twice, so it is
     halved and then divided by (n-1)(n-2)/2.
 
-    Only non-pendant sources are swept. A pendant l (degree 1, its neighbor a
-    of degree > 1) has distance sum T(a) + n - 2 (-1 if T(a) is -1), the same
-    dependency as a on every node but a, and dependency c(a) - 2 on a, with
-    c(a) the size of a's component. So a's dependency row counts once for a
-    and once for each of its pendants, and each pendant adds c(a) - 2 to a.
-    Two adjacent degree-1 nodes (a K2 component) are both swept.
+    Only the smallest non-pendant node of each orbit of :func:`_orbits` is
+    swept. Its row is scaled by its orbit's size |O|, and each node v takes
+    the mean of the summed rows over its own orbit O_v, which is the fold
+    identity of the module docstring; every member copies its
+    representative's distance sum. Single-node orbits scale by 1 and take
+    the mean of one value, so an asymmetric graph's sums are unchanged.
+
+    A pendant l (degree 1, its neighbor a of degree > 1) has distance sum
+    T(a) + n - 2 (-1 if T(a) is -1), the same dependency as a on every node
+    but a, and dependency c(a) - 2 on a, with c(a) the size of a's component.
+    So a's dependency row counts once for a and once for each of its
+    pendants, and each pendant adds c(a) - 2 to a. Automorphisms keep
+    pendants pendant, so no orbit mixes pendants and swept nodes. Two
+    adjacent degree-1 nodes (a K2 component) are both swept.
     """
     n = g.n
     indptr, indices = g.csr
@@ -151,22 +206,26 @@ def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:
     hubs = indices[indptr[leaves]]
     pendants, anchors = leaves[deg[hubs] > 1], hubs[deg[hubs] > 1]
     folded = np.bincount(anchors, minlength=n)
-    swept = np.setdiff1d(np.arange(n), pendants)
+    orbit = _orbits(g)
+    size = np.bincount(orbit, minlength=n)
+    swept = np.setdiff1d(np.flatnonzero(orbit == np.arange(n)), pendants)
     width = max(1, _BLOCK_PAIRS // n)
-    bc = np.zeros(n)
-    totals = np.empty(n, dtype=np.int64)
+    total = np.zeros(n)
+    sums = np.zeros(n, dtype=np.int64)
     for lo in range(0, swept.size, width):
         sources = swept[lo : lo + width]
-        block_bc, totals[sources] = _sweep(indptr, indices, deg, sources, folded[sources])
-        bc += block_bc
+        block, sums[sources] = _sweep(indptr, indices, deg, sources, folded[sources], size[sources])
+        total += block
+    totals = sums[orbit]
     totals[pendants] = np.where(totals[anchors] < 0, -1, totals[anchors] + n - 2)
     if n < 3:
         return np.zeros(n), totals
+    bc = np.bincount(orbit, weights=total, minlength=n)[orbit] / size[orbit]
     return bc / 2.0 / ((n - 1) * (n - 2) / 2.0), totals
 
 
 def _sweep(
-    indptr: np.ndarray, indices: np.ndarray, deg: np.ndarray, sources: np.ndarray, folded: np.ndarray
+    indptr: np.ndarray, indices: np.ndarray, deg: np.ndarray, sources: np.ndarray, folded: np.ndarray, size: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Brandes dependencies summed over ``sources``, and each source's distance sum.
 
@@ -178,7 +237,8 @@ def _sweep(
 
     A source with ``folded`` pendants stands for them too: its dependency row
     counts 1 + folded times, and it gains folded * (c - 2) for its component
-    of c nodes.
+    of c nodes. A source also stands for its orbit: both terms are scaled by
+    its orbit's ``size``.
     """
     n = deg.size
     pairs = sources.size * n
@@ -219,8 +279,8 @@ def _sweep(
     dist = dist.reshape(sources.size, n)
     totals = np.where(np.any(dist < 0, axis=1), -1, dist.sum(axis=1))
     rows = delta.reshape(sources.size, n)
-    bc = ((1.0 + folded)[:, None] * rows).sum(axis=0)
-    bc[sources] += folded * (np.count_nonzero(dist >= 0, axis=1) - 2)
+    bc = ((size * (1.0 + folded))[:, None] * rows).sum(axis=0)
+    bc[sources] += size * folded * (np.count_nonzero(dist >= 0, axis=1) - 2)
     return bc, totals
 
 

@@ -8,6 +8,7 @@ version.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -29,6 +30,7 @@ __all__ = [
     "read_lines",
     "read_edgelist",
     "write_edgelist",
+    "naming",
 ]
 
 
@@ -337,3 +339,16 @@ def read_edgelist(path: str | Path) -> Graph:
                 raise ValueError(f"{path}:{k}: duplicate edge ({i},{j})")
             seen.add((i, j))
     return Graph(n, tuple(edges))
+
+
+@contextlib.contextmanager
+def naming(path: str | Path):
+    """Prefix ``path`` to the message of an error raised while processing its graph."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+    except MemoryError as exc:
+        # numpy's allocation error builds its message from the request, not from args.
+        raise MemoryError(f"{path}: {exc}") from exc

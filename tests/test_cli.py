@@ -491,6 +491,45 @@ class TestPipeline:
         assert code == 1 and out == ""
         assert json.loads(err) == {"error": f"{empty}: cannot evaluate an empty dataset", "type": "ValueError"}
 
+    @pytest.mark.parametrize(
+        "text, n, reason, kind",
+        [
+            ("10 2\n0 1\n2 3\n", 10, "pagerank needs every node to have degree >= 1", "ValueError"),
+            ("1000000000000 0\n", 10**12, "Unable to allocate", "MemoryError"),
+        ],
+        ids=["isolated-nodes", "huge-n"],
+    )
+    def test_unprocessable_item_names_its_edge_file(self, tmp_path, capsys, text, n, reason, kind):
+        data_dir = tmp_path / "data"
+        argv = ["generate", "--out", str(data_dir), "--families", "cycle,star", "--train-count", "2"]
+        assert run(capsys, argv + ["--test-count", "2", "--train-sizes", "12", "14", "--test-sizes", "12", "14"])[0] == 0
+        argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--epochs", "0"]
+        assert run(capsys, argv)[0] == 0
+        # Item 0 of the test split becomes a graph with no oracle label and no features.
+        split_dir = data_dir / "test"
+        path = split_dir / "graphs" / "000000.edges"
+        path.write_text(text)
+        csv = split_dir / "targets.csv"
+        rows = csv.read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:3] + [str(n)])
+        csv.write_text("\n".join(rows) + "\n")
+        train = ["train", "--data", str(split_dir), "--out", str(tmp_path / "again"), "--epochs", "0"]
+        checkpoint = str(tmp_path / "run" / "checkpoint.json")
+        evaluate = ["eval", "--checkpoint", checkpoint, "--data", str(split_dir), "--out", str(tmp_path / "eval")]
+        for argv, message, error in [
+            (train, "power iteration needs a connected graph", "DatasetFormatError"),
+            (train + ["--no-verify"], reason, kind),
+            (evaluate, "power iteration needs a connected graph", "DatasetFormatError"),
+            (evaluate + ["--no-verify"], reason, kind),
+        ]:
+            code, out, err = run(capsys, argv)
+            assert code == 1 and out == ""
+            blob = json.loads(err)
+            assert blob["error"].startswith(f"{path}: {message}")
+            assert blob["error"].count(str(path)) == 1 and str(checkpoint) not in blob["error"]
+            assert blob["type"] == error
+        assert not (tmp_path / "again").exists() and not (tmp_path / "eval").exists()
+
     def test_huge_finite_weights_get_every_histogram(self, tmp_path, capsys):
         # One huge plain-gd step leaves b near 1e29: finite, but ±0.5 around
         # one value is below float64 spacing there.

@@ -450,6 +450,33 @@ class TestSaveLoad:
         loaded, _ = load_dataset(tmp_path / "ds", verify=False)
         assert len(loaded) == 2
 
+    @staticmethod
+    def save_with_broken_first_item(directory):
+        """A saved split whose item 0 is 10 nodes and two edges; returns that item's edge file."""
+        items, _ = build_synthetic(small_spec(train_count=2, test_count=0))
+        save_dataset(items, directory)
+        path = directory / "graphs" / "000000.edges"
+        path.write_text("10 2\n0 1\n2 3\n")
+        csv = directory / "targets.csv"
+        rows = csv.read_text().splitlines()
+        rows[1] = ",".join(rows[1].split(",")[:3] + ["10"])
+        csv.write_text("\n".join(rows) + "\n")
+        return path
+
+    def test_verify_names_the_edge_file_the_oracle_refuses(self, tmp_path):
+        path = self.save_with_broken_first_item(tmp_path / "ds")
+        with pytest.raises(DatasetFormatError) as info:
+            load_dataset(tmp_path / "ds")
+        assert str(info.value) == f"{path}: power iteration needs a connected graph"
+
+    def test_feature_pass_names_the_edge_file(self, tmp_path):
+        path = self.save_with_broken_first_item(tmp_path / "ds")
+        items, _ = load_dataset(tmp_path / "ds", verify=False)
+        with pytest.raises(ValueError) as info:
+            items[0].features
+        assert str(info.value) == f"{path}: pagerank needs every node to have degree >= 1"
+        np.testing.assert_array_equal(items[1].features, build_feature_matrix(items[1].graph))
+
     def test_verify_relabels_with_the_spec_tolerance(self, tmp_path):
         # A loose label_tol stores targets far from the default oracle's; the
         # verify pass must relabel with the tolerance the manifest records.

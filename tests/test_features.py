@@ -66,6 +66,36 @@ def csr_column_graphs():
     ]
 
 
+def relabelled(g, perm):
+    """``g`` with node i renamed ``perm[i]``."""
+    return Graph(g.n, tuple(tuple(sorted((int(perm[i]), int(perm[j])))) for i, j in g.edges))
+
+
+def assert_matches_oracles(g):
+    """Betweenness equals the enumeration oracle's, and closeness the BFS oracle's (or -1 sums if disconnected)."""
+    adj = adjacency_lists(g)
+    np.testing.assert_allclose(betweenness_centrality(g), betweenness_by_enumeration(adj), rtol=0.0, atol=1e-15)
+    if is_connected(g):
+        np.testing.assert_array_equal(closeness_centrality(g), closeness_by_bfs(adj))
+    else:
+        np.testing.assert_array_equal(netloc.features._shortest_paths(g)[1], np.full(g.n, -1))
+
+
+def swept_sources(monkeypatch, g):
+    """The BFS sources the betweenness pass sweeps on ``g``, in order."""
+    seen = []
+    sweep = netloc.features._sweep
+
+    def spy(indptr, indices, deg, sources, *rest):
+        seen.append(sources.copy())
+        return sweep(indptr, indices, deg, sources, *rest)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(netloc.features, "_sweep", spy)
+        betweenness_centrality(g)
+    return np.concatenate(seen).tolist()
+
+
 def pendant_graphs():
     """Graphs with degree-1 nodes wherever the BFS pass can meet them."""
     clique = [(i, j) for i in range(5) for j in range(i + 1, 5)]
@@ -329,42 +359,78 @@ class TestFeatureMatrix:
         # Budgets of 1 and 50 pairs put anchors and plain sources in different blocks.
         monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
         for g in pendant_graphs():
-            adj = adjacency_lists(g)
-            np.testing.assert_allclose(betweenness_centrality(g), betweenness_by_enumeration(adj), rtol=0.0, atol=1e-15)
-            if is_connected(g):
-                np.testing.assert_array_equal(closeness_centrality(g), closeness_by_bfs(adj))
-            else:
-                np.testing.assert_array_equal(netloc.features._shortest_paths(g)[1], np.full(g.n, -1))
+            assert_matches_oracles(g)
 
     def test_pendants_are_not_swept(self, monkeypatch):
-        seen = []
-        sweep = netloc.features._sweep
-
-        def spy(indptr, indices, deg, sources, folded):
-            seen.append(sources.copy())
-            return sweep(indptr, indices, deg, sources, folded)
-
-        monkeypatch.setattr(netloc.features, "_sweep", spy)
         cases = [
             (make_star(500), [0]),
-            (make_cycle(40), list(range(40))),
-            (make_path(5), [1, 2, 3]),
+            # One source per orbit: the rotation makes the cycle one orbit,
+            # and the reversal pairs the path's node 1 with 3 and fixes 2.
+            (make_cycle(40), [0]),
+            (make_path(5), [1, 2]),
             # The K2 component's two degree-1 nodes are both swept.
             (Graph(6, ((0, 1), (1, 2), (3, 4))), [1, 3, 4, 5]),
         ]
         for g, sources in cases:
-            seen.clear()
-            betweenness_centrality(g)
-            assert np.concatenate(seen).tolist() == sources
+            assert swept_sources(monkeypatch, g) == sources
 
     def test_permutation_invariance(self):
         g = random_connected(14, 0.3, seed=5)
         x = build_feature_matrix(g)
-        rng = np.random.default_rng(0)
-        perm = rng.permutation(g.n)
-        remapped = Graph(
-            g.n,
-            tuple(tuple(sorted((int(perm[i]), int(perm[j])))) for i, j in g.edges),
-        )
-        xp = build_feature_matrix(remapped)
+        perm = np.random.default_rng(0).permutation(g.n)
+        xp = build_feature_matrix(relabelled(g, perm))
         np.testing.assert_allclose(xp[perm], x, atol=1e-10)
+
+
+class TestOrbitSweep:
+    """One BFS source per orbit of a verified automorphism."""
+
+    def test_one_source_per_orbit(self, monkeypatch):
+        triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        cases = [
+            (make_cycle(40), [0]),
+            # The hub, then one rim node for the whole rim.
+            (make_wheel(30), [0, 1]),
+            # Pendants 0 and 5 fold into 1 and 4; the reversal pairs 1-4 and 2-3.
+            (make_path(6), [1, 2]),
+            # Neither candidate maps the edges of a relabelled cycle onto themselves.
+            (relabelled(make_cycle(40), np.random.default_rng(1).permutation(40)), list(range(40))),
+            # The rotation runs 2 -> 3 across the triangles; the reversal swaps them.
+            (triangles, [0, 1, 2]),
+        ]
+        for g, sources in cases:
+            assert swept_sources(monkeypatch, g) == sources
+
+    @pytest.mark.parametrize("family", ["cycle", "path", "star", "wheel"])
+    def test_relabelled_graph_gives_the_permuted_features(self, family):
+        # The relabelled graph is swept from every source, the original from one per orbit.
+        make = {"cycle": make_cycle, "path": make_path, "star": make_star, "wheel": make_wheel}[family]
+        for n in [*range(4 if family == "wheel" else 3, 81), 450]:
+            g = make(n)
+            perm = np.random.default_rng(n).permutation(n)
+            x, xp = build_feature_matrix(g), build_feature_matrix(relabelled(g, perm))[perm]
+            if family == "wheel":
+                # The rim's PageRank and betweenness sums run in another order.
+                np.testing.assert_allclose(xp, x, rtol=0.0, atol=1e-15)
+            else:
+                np.testing.assert_array_equal(xp, x)
+
+    def test_rejected_candidate_is_never_used(self, monkeypatch):
+        # The Petersen graph is 3-regular, so both candidates map degrees, but
+        # the rotation takes edge 0-4 to 1-5 and the reversal 0-1 to 9-8.
+        outer = [(i, (i + 1) % 5) for i in range(5)]
+        spokes = [(i, i + 5) for i in range(5)]
+        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+        petersen = Graph(10, tuple(tuple(sorted(e)) for e in outer + spokes + inner))
+        ring = relabelled(make_cycle(12), np.random.default_rng(2).permutation(12))
+        for g in (petersen, ring):
+            assert swept_sources(monkeypatch, g) == list(range(g.n))
+            assert_matches_oracles(g)
+
+    @pytest.mark.parametrize("budget", [1, 50, 420])
+    def test_orbit_blocks_match_the_oracles(self, monkeypatch, budget):
+        # Small budgets split one orbit's representatives over several blocks.
+        monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
+        triangles = Graph(6, ((0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)))
+        for g in [make_cycle(31), make_cycle(32), make_wheel(25), make_path(30), make_path(31), triangles]:
+            assert_matches_oracles(g)

@@ -179,8 +179,6 @@ def _cmd_eval(args) -> int:
     if not items:
         raise ValueError(f"{args.data}: cannot evaluate an empty dataset")
     t0 = time.perf_counter()
-    for it in items:
-        it.features  # a feature error names the item's edge file, not the checkpoint
     with naming(args.checkpoint):
         report = evaluate(model, params, items, thresholds)
     write_eval_report(report, args.out)

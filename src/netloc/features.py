@@ -16,10 +16,10 @@ for the group G generated by π, a source orbit O and a node v with orbit O_v,
 
     sum over s in O of delta_s(v) = |O| / |O_v| * sum over w in O_v of delta_s0(w)
 
-for any s0 in O, and every member of O has the distance sum of s0. The two
-candidates for π rotate or reverse each degree class in node order; each is
-used only once an O(m log m) comparison of edge keys proves it maps edges
-onto edges. With no verified candidate every orbit is a single node.
+for any s0 in O, and every member of O has the distance sum of s0. The one
+candidate for π rotates each degree class in node order; it is used only
+once an O(m log m) comparison of edge keys proves it maps edges onto edges.
+Without that proof every orbit is a single node.
 
 A pendant vertex l (degree 1) whose neighbor a has degree > 1 is never a BFS
 source, since three exact identities give its share from a's sweep:
@@ -144,13 +144,11 @@ def degree_centrality(g: Graph) -> np.ndarray:
 def _orbits(g: Graph) -> np.ndarray:
     """Each node's orbit under a verified automorphism, named by its smallest member.
 
-    Two candidates act within degree classes, taken in node order: ``rot``
-    moves each node one place along its class and wraps at the end, and
-    ``rev`` reverses each class. A candidate π counts only if the sorted
-    keys ``π[u] * n + π[v]`` of the directed edges equal those of the graph.
-    ``rot`` is one cycle on each class, so if it holds each class is an
-    orbit; else if ``rev`` holds the orbits are the pairs {v, rev(v)}; else
-    each node is its own orbit.
+    The candidate π moves each node one place along its degree class, taken
+    in node order, and wraps at the end of the class. It counts only if the
+    sorted keys ``π[u] * n + π[v]`` of the directed edges equal those of the
+    graph. π is one cycle on each class, so if it holds each class is an
+    orbit; else each node is its own orbit.
     """
     n, rows, indices = g.n, g.csr_rows, g.csr[1]
     at = np.arange(n)
@@ -158,23 +156,13 @@ def _orbits(g: Graph) -> np.ndarray:
     # Position i of ``order`` lies in the class that spans [start[i], stop[i]).
     ranked = g.degrees[order]
     start, stop = np.searchsorted(ranked, ranked, "left"), np.searchsorted(ranked, ranked, "right")
-    edges = np.sort(rows * n + indices)
-
-    def mapping(image: np.ndarray) -> np.ndarray:
-        # The permutation taking order[i] to order[image[i]].
-        perm = np.empty(n, dtype=np.int64)
-        perm[order] = order[image]
-        return perm
-
-    def verified(perm: np.ndarray) -> bool:
-        return np.array_equal(np.sort(perm[rows] * n + perm[indices]), edges)
-
-    if verified(mapping(np.where(at + 1 < stop, at + 1, start))):
-        return mapping(start)
-    rev = mapping(start + stop - 1 - at)
-    if verified(rev):
-        return np.minimum(at, rev)
-    return at
+    perm = np.empty(n, dtype=np.int64)
+    perm[order] = order[np.where(at + 1 < stop, at + 1, start)]
+    if not np.array_equal(np.sort(perm[rows] * n + perm[indices]), np.sort(rows * n + indices)):
+        return at
+    orbit = np.empty(n, dtype=np.int64)
+    orbit[order] = order[start]
+    return orbit
 
 
 def _shortest_paths(g: Graph) -> tuple[np.ndarray, np.ndarray]:

@@ -343,12 +343,20 @@ def read_edgelist(path: str | Path) -> Graph:
 
 @contextlib.contextmanager
 def naming(path: str | Path):
-    """Prefix ``path`` to the message of an error raised while processing its graph."""
+    """Prefix ``path`` to the message of an error raised while processing its graph.
+
+    An error that an inner ``naming`` already prefixed keeps that one path.
+    """
     try:
         yield
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
+        if getattr(exc, "named", False):
+            raise
+        if isinstance(exc, MemoryError):
+            # numpy's allocation error builds its message from the request, not from args.
+            named = MemoryError(f"{path}: {exc}")
+            named.named = True
+            raise named from exc
         exc.args = (f"{path}: {exc}",)
+        exc.named = True
         raise
-    except MemoryError as exc:
-        # numpy's allocation error builds its message from the request, not from args.
-        raise MemoryError(f"{path}: {exc}") from exc

@@ -15,6 +15,7 @@ from netloc.graphs import (
     make_scale_free,
     make_star,
     make_wheel,
+    naming,
     read_edgelist,
     write_edgelist,
 )
@@ -379,3 +380,26 @@ class TestEdgelistIO:
         path = tmp_path / "readme.edges"
         path.write_text(example)
         assert read_edgelist(path) == Graph(4, ((0, 1), (0, 2), (1, 2), (2, 3)))
+
+
+class TestNaming:
+    @pytest.mark.parametrize("error", [ValueError("bad"), RuntimeError("bad"), MemoryError("bad")])
+    def test_prefixes_the_path(self, error):
+        with pytest.raises(type(error)) as info:
+            with naming("a.edges"):
+                raise error
+        assert str(info.value) == "a.edges: bad"
+
+    @pytest.mark.parametrize("error", [ValueError("bad"), RuntimeError("bad"), MemoryError("bad")])
+    def test_inner_path_is_kept_alone(self, error):
+        with pytest.raises(type(error)) as info:
+            with naming("model.json"):
+                with naming("a.edges"):
+                    raise error
+        assert str(info.value) == "a.edges: bad"
+
+    def test_other_errors_pass_unchanged(self):
+        with pytest.raises(KeyError) as info:
+            with naming("a.edges"):
+                raise KeyError("bad")
+        assert info.value.args == ("bad",)

@@ -2,9 +2,9 @@
 and a reproducible on-disk layout (manifest.json + graphs/*.edges + targets.csv).
 
 Targets are always the IPR of the adjacency principal eigenvector computed by
-the spectral oracle. Datasets carry graphs and targets only: an item's node
-features are derived from its graph the first time a model reads them, never
-stored in or read from files.
+the spectral oracle. Datasets carry graphs and targets only: node features
+are derived from the graphs, in one group pass over the items that lack
+them (:func:`cache_features`), never stored in or read from files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import build_feature_matrix
+from .features import build_feature_matrices, build_feature_matrix
 from .graphs import (
     Graph,
     draw_connected_er,
@@ -40,6 +40,7 @@ from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, label_graph
 __all__ = [
     "FAMILIES",
     "LabeledGraph",
+    "cache_features",
     "DatasetSpec",
     "ParseError",
     "DatasetFormatError",
@@ -86,9 +87,30 @@ class LabeledGraph:
         """Structural node feature matrix, built from the graph on first use.
 
         An error raised while building it names ``source``.
+        :func:`cache_features` fills it for many items in one pass.
         """
         with naming(self.source) if self.source else contextlib.nullcontext():
             return build_feature_matrix(self.graph)
+
+
+def cache_features(items: typing.Sequence[LabeledGraph]) -> None:
+    """Give every item that lacks a feature matrix its own, from one group pass.
+
+    If the group pass fails, each of those items builds its own in item
+    order, so the first item that fails raises its own error, named by its
+    edge file.
+    """
+    todo = [it for it in items if "features" not in vars(it)]
+    if not todo:
+        return
+    try:
+        matrices = build_feature_matrices([it.graph for it in todo])
+    except (ValueError, RuntimeError, MemoryError):
+        for it in todo:
+            it.features
+        return
+    for it, h in zip(todo, matrices):
+        vars(it)["features"] = h
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LabeledGraph, checked_fields
+from .data import LabeledGraph, cache_features, checked_fields
 from .gat import GAT
 from .gcn import GCN
 from .graphs import draw_connected_er
@@ -156,6 +156,7 @@ def train(config: TrainConfig, items: list[LabeledGraph]) -> TrainResult:
         raise ValueError("cannot train on an empty dataset")
     model = build_model(config)
     params = model.init_params(np.random.default_rng(config.seed))
+    cache_features(items)
     prepared = [model.prepare(it.graph, it.features) for it in items]
     targets = np.array([it.target for it in items])
     kind = LossKind(config.loss)
@@ -213,6 +214,7 @@ def evaluate(
     if not items:
         raise ValueError("cannot evaluate an empty dataset")
     targets = np.array([it.target for it in items])
+    cache_features(items)
     with np.errstate(over="ignore", invalid="ignore"):
         preds = model.predict(params, (model.prepare(it.graph, it.features) for it in items))
         mse = loss(preds, targets)

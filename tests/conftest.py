@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 import netloc.data
+import netloc.features
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,13 +18,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture
 def feature_builds(monkeypatch):
-    """Graphs passed to ``netloc.data.build_feature_matrix``, in call order."""
+    """The graph list of each call to the group feature builder, in call order.
+
+    Both of its bindings are spied on, so a lone ``build_feature_matrix(g)``
+    shows up as a call on ``[g]``.
+    """
     calls = []
-    real = netloc.data.build_feature_matrix
+    real = netloc.features.build_feature_matrices
 
-    def spy(g):
-        calls.append(g)
-        return real(g)
+    def spy(graphs):
+        calls.append(list(graphs))
+        return real(graphs)
 
-    monkeypatch.setattr(netloc.data, "build_feature_matrix", spy)
+    monkeypatch.setattr(netloc.features, "build_feature_matrices", spy)
+    monkeypatch.setattr(netloc.data, "build_feature_matrices", spy)
     return calls

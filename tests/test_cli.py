@@ -1,4 +1,5 @@
 import json
+import shutil
 import subprocess
 import sys
 import warnings
@@ -502,33 +503,39 @@ class TestPipeline:
     def test_unprocessable_item_names_its_edge_file(self, tmp_path, capsys, text, n, reason, kind):
         data_dir = tmp_path / "data"
         argv = ["generate", "--out", str(data_dir), "--families", "cycle,star", "--train-count", "2"]
-        assert run(capsys, argv + ["--test-count", "2", "--train-sizes", "12", "14", "--test-sizes", "12", "14"])[0] == 0
+        assert run(capsys, argv + ["--test-count", "3", "--train-sizes", "12", "14", "--test-sizes", "12", "14"])[0] == 0
         argv = ["train", "--data", str(data_dir / "train"), "--out", str(tmp_path / "run"), "--epochs", "0"]
         assert run(capsys, argv)[0] == 0
-        # Item 0 of the test split becomes a graph with no oracle label and no features.
-        split_dir = data_dir / "test"
-        path = split_dir / "graphs" / "000000.edges"
-        path.write_text(text)
-        csv = split_dir / "targets.csv"
-        rows = csv.read_text().splitlines()
-        rows[1] = ",".join(rows[1].split(",")[:3] + [str(n)])
-        csv.write_text("\n".join(rows) + "\n")
-        train = ["train", "--data", str(split_dir), "--out", str(tmp_path / "again"), "--epochs", "0"]
         checkpoint = str(tmp_path / "run" / "checkpoint.json")
-        evaluate = ["eval", "--checkpoint", checkpoint, "--data", str(split_dir), "--out", str(tmp_path / "eval")]
-        for argv, message, error in [
-            (train, "power iteration needs a connected graph", "DatasetFormatError"),
-            (train + ["--no-verify"], reason, kind),
-            (evaluate, "power iteration needs a connected graph", "DatasetFormatError"),
-            (evaluate + ["--no-verify"], reason, kind),
-        ]:
-            code, out, err = run(capsys, argv)
-            assert code == 1 and out == ""
-            blob = json.loads(err)
-            assert blob["error"].startswith(f"{path}: {message}")
-            assert blob["error"].count(str(path)) == 1 and str(checkpoint) not in blob["error"]
-            assert blob["type"] == error
-        assert not (tmp_path / "again").exists() and not (tmp_path / "eval").exists()
+        # Item 0, then item 1 of 3, of a copy of the test split becomes a graph
+        # with no oracle label and no features. The verify pass re-labels
+        # every 20th item, so it refuses item 0 and leaves item 1 to the
+        # feature pass, which takes all three items in one group.
+        refused = ("power iteration needs a connected graph", "DatasetFormatError")
+        for index, verified in [(0, refused), (1, (reason, kind))]:
+            split_dir = tmp_path / f"test{index}"
+            shutil.copytree(data_dir / "test", split_dir)
+            path = split_dir / "graphs" / f"{index:06d}.edges"
+            path.write_text(text)
+            csv = split_dir / "targets.csv"
+            rows = csv.read_text().splitlines()
+            rows[1 + index] = ",".join(rows[1 + index].split(",")[:3] + [str(n)])
+            csv.write_text("\n".join(rows) + "\n")
+            train = ["train", "--data", str(split_dir), "--out", str(tmp_path / "again"), "--epochs", "0"]
+            evaluate = ["eval", "--checkpoint", checkpoint, "--data", str(split_dir), "--out", str(tmp_path / "eval")]
+            for argv, message, error in [
+                (train, *verified),
+                (train + ["--no-verify"], reason, kind),
+                (evaluate, *verified),
+                (evaluate + ["--no-verify"], reason, kind),
+            ]:
+                code, out, err = run(capsys, argv)
+                assert code == 1 and out == ""
+                blob = json.loads(err)
+                assert blob["error"].startswith(f"{path}: {message}")
+                assert blob["error"].count(str(path)) == 1 and str(checkpoint) not in blob["error"]
+                assert blob["type"] == error
+            assert not (tmp_path / "again").exists() and not (tmp_path / "eval").exists()
 
     def test_huge_finite_weights_get_every_histogram(self, tmp_path, capsys):
         # One huge plain-gd step leaves b near 1e29: finite, but ±0.5 around

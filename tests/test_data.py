@@ -10,15 +10,17 @@ from netloc.data import (
     LabeledGraph,
     ParseError,
     build_synthetic,
+    cache_features,
     ingest_tu_dataset,
     load_dataset,
     preprocess,
     save_dataset,
     split,
 )
+import netloc.features
 from netloc.features import build_feature_matrix
-from netloc.graphs import Graph, make_er, make_star
-from netloc.spectral import ipr, power_iteration
+from netloc.graphs import Graph, make_cycle, make_er, make_star
+from netloc.spectral import ConvergenceError, ipr, power_iteration
 
 
 def small_spec(**overrides):
@@ -588,3 +590,49 @@ class TestSaveLoad:
         csv.write_text("\n".join(rows[:-1]) + "\n")
         with pytest.raises(DatasetFormatError, match="manifest says 3"):
             load_dataset(tmp_path / "ds")
+
+
+class TestCacheFeatures:
+    """One group feature pass over the items that lack a matrix."""
+
+    @staticmethod
+    def named(graphs):
+        return [
+            LabeledGraph(graph=g, target=0.0, family="x", source=f"ds/graphs/{i:06d}.edges") for i, g in enumerate(graphs)
+        ]
+
+    def test_each_item_gets_the_matrix_it_builds_alone(self, feature_builds):
+        items, _ = build_synthetic(small_spec(families=FAMILIES, train_count=12, test_count=0))
+        items[3].features
+        feature_builds.clear()
+        cache_features(items)
+        cache_features(items)
+        assert feature_builds == [[it.graph for i, it in enumerate(items) if i != 3]]
+        for it in items:
+            np.testing.assert_array_equal(it.features, build_feature_matrix(it.graph))
+
+    @pytest.mark.parametrize(
+        "broken, kind, message",
+        [
+            # The group pass meets the huge graph first, but item 1 comes first.
+            ("disconnected,huge", ValueError, "closeness centrality needs a connected graph"),
+            ("huge,isolated", MemoryError, "Unable to allocate"),
+            ("isolated,disconnected", ValueError, "pagerank needs every node to have degree >= 1"),
+        ],
+    )
+    def test_first_refused_item_names_its_edge_file(self, broken, kind, message):
+        shapes = {"disconnected": Graph(4, ((0, 1), (2, 3))), "huge": Graph(10**12), "isolated": Graph(10, ((0, 1), (2, 3)))}
+        items = self.named([make_star(6), *(shapes[name] for name in broken.split(","))])
+        with pytest.raises(kind) as info:
+            cache_features(items)
+        assert str(info.value).startswith(f"ds/graphs/000001.edges: {message}")
+        assert str(info.value).count("ds/graphs/") == 1
+
+    def test_pagerank_that_does_not_converge_names_its_edge_file(self, monkeypatch):
+        # A cycle's PageRank is uniform and stops at once; a star's takes about 140 steps.
+        monkeypatch.setattr(netloc.features, "_PAGERANK_MAX_ITER", 5)
+        items = self.named([make_cycle(6), make_star(6), make_star(7)])
+        with pytest.raises(ConvergenceError) as info:
+            cache_features(items)
+        assert str(info.value) == "ds/graphs/000001.edges: pagerank did not converge to 1e-10 in 5 iterations"
+        assert info.value.residual > 1e-10 and info.value.iterations == 5

@@ -8,6 +8,7 @@ from netloc.features import (
     FEATURE_COLUMNS,
     avg_neighbor_degree,
     betweenness_centrality,
+    build_feature_matrices,
     build_feature_matrix,
     closeness_centrality,
     clustering_coefficient,
@@ -94,6 +95,13 @@ def swept_sources(monkeypatch, g):
         patch.setattr(netloc.features, "_sweep", spy)
         betweenness_centrality(g)
     return np.concatenate(seen).tolist()
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return Graph(10, tuple(tuple(sorted(e)) for e in outer + spokes + inner))
 
 
 def pendant_graphs():
@@ -417,12 +425,8 @@ class TestOrbitSweep:
     def test_rejected_candidate_is_never_used(self, monkeypatch):
         # The Petersen graph is 3-regular, so the rotation maps degrees, but it
         # takes edge 0-4 to 1-5.
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        spokes = [(i, i + 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        petersen = Graph(10, tuple(tuple(sorted(e)) for e in outer + spokes + inner))
         ring = relabelled(make_cycle(12), np.random.default_rng(2).permutation(12))
-        for g in (petersen, ring):
+        for g in (petersen(), ring):
             assert swept_sources(monkeypatch, g) == list(range(g.n))
             assert_matches_oracles(g)
 
@@ -432,3 +436,69 @@ class TestOrbitSweep:
         monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
         for g in [make_cycle(31), make_cycle(32), make_wheel(25)]:
             assert_matches_oracles(g)
+
+
+class TestGroupPass:
+    """Many graphs in one pass over their disjoint union."""
+
+    @staticmethod
+    def mixed_group():
+        """Every shape the per-graph tests meet, shuffled into one group."""
+        graphs = [g for n in range(3, 61) for g in six_families(n, seed=n).values()]
+        graphs += [Graph(1), Graph(2, ((0, 1),)), make_path(3), complete_graph(3), Graph(2), Graph(3), Graph(5)]
+        graphs += pendant_graphs() + [petersen(), relabelled(make_cycle(40), np.random.default_rng(1).permutation(40))]
+        return [graphs[i] for i in np.random.default_rng(0).permutation(len(graphs))]
+
+    @pytest.mark.parametrize("budget", [1, 50, 420, netloc.features._BLOCK_PAIRS], ids=["1", "50", "420", "default"])
+    def test_group_equals_alone(self, monkeypatch, budget):
+        # Budgets of 1 to 420 pairs split graphs into source blocks, put one
+        # graph in a block, or a few small ones.
+        monkeypatch.setattr(netloc.features, "_BLOCK_PAIRS", budget)
+        graphs = self.mixed_group()
+        for g, b, t in zip(graphs, *netloc.features._group_shortest_paths(graphs)):
+            alone = netloc.features._shortest_paths(g)
+            np.testing.assert_array_equal(b, alone[0])
+            np.testing.assert_array_equal(t, alone[1])
+        ranked = [g for g in graphs if g.n == 1 or g.degrees.min() > 0]
+        for g, p in zip(ranked, netloc.features._group_pagerank(ranked)):
+            np.testing.assert_array_equal(p, pagerank(g))
+        built = [g for g in ranked if is_connected(g)]
+        for g, x in zip(built, build_feature_matrices(built)):
+            np.testing.assert_array_equal(x, build_feature_matrix(g))
+
+    def test_blocks_take_whole_graphs_up_to_the_largest_squared(self, monkeypatch):
+        # A 40-cycle sweeps one source, a relabelled one all 40, so a block of
+        # 40**2 pairs holds 40 cycles, or one relabelled cycle alone.
+        ring = relabelled(make_cycle(40), np.random.default_rng(1).permutation(40))
+        rows = []
+        sweep = netloc.features._sweep
+
+        def spy(indptr, indices, deg, sources, *rest):
+            rows.append(sources.size)
+            return sweep(indptr, indices, deg, sources, *rest)
+
+        monkeypatch.setattr(netloc.features, "_sweep", spy)
+        netloc.features._group_shortest_paths([make_cycle(40)] * 41 + [ring, ring])
+        assert rows == [40, 1, 40, 40]
+
+    def test_group_peak_memory_is_that_of_its_largest_graph(self):
+        # No block holds more pairs than the largest graph sweeps alone, so 200
+        # cycles and stars add little to the peak of one ER graph of that size.
+        rng = np.random.default_rng(0)
+        graphs = [(make_cycle if i % 2 else make_star)(int(rng.integers(30, 41))) for i in range(200)]
+        n = max(g.n for g in graphs)
+        graphs.append(random_connected(n, 8.0 / n, seed=0))
+        for g in graphs:
+            g.csr, g.csr_rows
+        # numpy imports some modules on first use; keep them out of the peaks.
+        build_feature_matrices(graphs[:2] + graphs[-1:])
+
+        def peak(group):
+            tracemalloc.start()
+            try:
+                build_feature_matrices(group)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(graphs) <= 2 * peak(graphs[-1:])

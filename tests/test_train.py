@@ -157,11 +157,12 @@ class TestTrainLoop:
         assert not np.isfinite(info.value.loss_value)
 
     def test_train_then_evaluate_build_each_feature_matrix_once(self, feature_builds):
+        # train builds its two items in one call; evaluate builds only the two it lacks.
         items = tiny_items(train_count=4)
         feature_builds.clear()
-        result = train(tiny_config(epochs=1), items)
+        result = train(tiny_config(epochs=1), items[:2])
         evaluate(result.model, result.params, items)
-        assert feature_builds == [it.graph for it in items]
+        assert feature_builds == [[it.graph for it in items[:2]], [it.graph for it in items[2:]]]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):

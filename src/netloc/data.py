@@ -292,15 +292,15 @@ def ingest_tu_dataset(directory: str | Path, name: str | None = None) -> list[Gr
         i, j = local_index[u], local_index[v]
         edge_sets[node_graph[u] - 1].add((min(i, j), max(i, j)))
 
-    return [Graph(sizes[k], tuple(sorted(edge_sets[k]))) for k in range(n_graphs)]
+    return [Graph(sizes[k], edge_sets[k]) for k in range(n_graphs)]
 
 
 def preprocess(graphs, name: str, min_nodes: int) -> list[LabeledGraph]:
     """Keep connected graphs with at least ``min_nodes`` nodes, then label them.
 
     Accepts raw graphs or already-labeled items (labels are recomputed), so
-    the operation is idempotent. No features are computed here; each item
-    derives them from its graph when a model first reads them.
+    the operation is idempotent. No features are computed here; ``train`` and
+    ``evaluate`` build them in one group pass, :func:`cache_features`.
     """
     kept: list[LabeledGraph] = []
     for item in graphs:
@@ -380,8 +380,8 @@ def _cell(where: str, name: str, cast, text: str):
 def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[LabeledGraph], dict]:
     """Read the native layout back as graphs and targets.
 
-    No features are computed here; each item derives them from its graph
-    when a model first reads them.
+    No features are computed here; ``train`` and ``evaluate`` build them in
+    one group pass, :func:`cache_features`.
 
     With ``verify`` on, every 20th stored target is re-derived from the
     spectral oracle, at the ``label_tol`` and ``label_max_iter`` of the

@@ -38,26 +38,27 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on nodes ``0..n-1``.
 
-    Edges are stored as a sorted tuple of ``(i, j)`` pairs with ``i < j``,
-    no self loops and no duplicates. Construction validates all of that.
+    ``edges``, an ``(m, 2)`` integer array or any iterable of ``(i, j)`` pairs, is validated
+    (i < j, no repeats) and stored as a sorted, read-only int64 copy. Graphs compare by value.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...] = field(default=())
+    edges: np.ndarray = field(default=())
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
-        seen = set()
-        for i, j in self.edges:
-            if i == j:
-                raise ValueError(f"self loop ({i},{i}) is not allowed")
-            if not (0 <= i < j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-        object.__setattr__(self, "edges", tuple(sorted(self.edges)))
+        e, fault = _sorted_edges(self.n, self.edges)
+        if fault is not None:
+            raise ValueError(fault[1])
+        e.flags.writeable = False
+        object.__setattr__(self, "edges", e)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and self.n == other.n and self.edges.tobytes() == other.edges.tobytes()
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edges.tobytes()))
 
     @property
     def m(self) -> int:
@@ -70,9 +71,8 @@ class Graph:
         The neighbors of u are ``indices[indptr[u]:indptr[u + 1]]``: first
         those above u, then those below it, each run ascending.
         """
-        e = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
-        heads = np.concatenate([e[:, 0], e[:, 1]])
-        indices = np.concatenate([e[:, 1], e[:, 0]])[np.argsort(heads, kind="stable")]
+        heads = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        indices = np.concatenate([self.edges[:, 1], self.edges[:, 0]])[np.argsort(heads, kind="stable")]
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.cumsum(np.bincount(heads, minlength=self.n), out=indptr[1:])
         return indptr, indices
@@ -107,33 +107,61 @@ class Graph:
         return out
 
 
+def _sorted_edges(n: int, edges) -> tuple[np.ndarray, tuple[int, str] | None]:
+    """``edges`` as an ``(m, 2)`` int64 array sorted by row, and the index and message of its first
+    row that is not an edge ``0 <= i < j < n``, else of its first repeated row; None if neither."""
+    edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    try:
+        e = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # such an endpoint is out of range or order; object rows keep its digits
+        e = np.array(edges, dtype=object).reshape(-1, 2)
+    i, j = e[:, 0], e[:, 1]
+    bad = np.flatnonzero((i >= j) | (i < 0) | (j >= n))
+    if bad.size:
+        k = int(bad[0])
+        a, b = e[k].tolist()
+        if a == b:
+            return e, (k, f"self loop ({a},{a}) is not allowed")
+        if a > b:
+            return e, (k, f"edges must be written with i < j, got {a} {b}")
+        return e, (k, f"edge ({a},{b}) out of range for n={n}")
+    order = np.lexsort((j, i))  # stable: each run of equal rows starts at its first occurrence
+    e = e[order]
+    repeats = 1 + np.flatnonzero((e[1:, 0] == e[:-1, 0]) & (e[1:, 1] == e[:-1, 1]))
+    if repeats.size:
+        r = repeats[np.argmin(order[repeats])]
+        return e, (int(order[r]), "duplicate edge ({},{})".format(*e[r].tolist()))
+    return e, None
+
+
 def make_cycle(n: int) -> Graph:
     """Cycle on n >= 3 nodes: 0-1-...-(n-1)-0."""
     if n < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),))
+    return Graph(n, np.sort(np.column_stack([np.arange(n), np.arange(1, n + 1) % n]), axis=1))
 
 
 def make_path(n: int) -> Graph:
     """Path on n >= 2 nodes: 0-1-...-(n-1)."""
     if n < 2:
         raise ValueError(f"path needs n >= 2, got {n}")
-    return Graph(n, tuple((i, i + 1) for i in range(n - 1)))
+    return Graph(n, np.column_stack([np.arange(n - 1), np.arange(1, n)]))
 
 
 def make_star(n: int) -> Graph:
     """Star on n >= 2 nodes with the hub at node 0."""
     if n < 2:
         raise ValueError(f"star needs n >= 2, got {n}")
-    return Graph(n, tuple((0, i) for i in range(1, n)))
+    return Graph(n, np.column_stack([np.zeros(n - 1, dtype=np.int64), np.arange(1, n)]))
 
 
 def make_wheel(n: int) -> Graph:
     """Wheel on n >= 4 nodes: hub 0 joined to every node of the rim cycle 1..n-1."""
     if n < 4:
         raise ValueError(f"wheel needs n >= 4, got {n}")
-    rim = tuple((i, i + 1) for i in range(1, n - 1)) + ((1, n - 1),)
-    return Graph(n, tuple((0, i) for i in range(1, n)) + rim)
+    i = np.arange(1, n)
+    rim = np.vstack([np.column_stack([i[:-1], i[1:]]), (1, n - 1)])
+    return Graph(n, np.vstack([np.column_stack([np.zeros_like(i), i]), rim]))
 
 
 def make_er(n: int, p: float, seed: int) -> Graph:
@@ -143,9 +171,8 @@ def make_er(n: int, p: float, seed: int) -> Graph:
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"edge probability must lie in [0,1], got {p}")
     rng = np.random.default_rng(seed)
-    rows, cols = np.triu_indices(n, k=1)
-    keep = rng.random(rows.shape[0]) < p
-    return Graph(n, tuple(zip(rows[keep].tolist(), cols[keep].tolist())))
+    pairs = np.column_stack(np.triu_indices(n, k=1))
+    return Graph(n, pairs[rng.random(len(pairs)) < p])
 
 
 def make_scale_free(n: int, m: int, seed: int) -> Graph:
@@ -158,24 +185,15 @@ def make_scale_free(n: int, m: int, seed: int) -> Graph:
     if n < m + 1:
         raise ValueError(f"need n >= m+1 nodes, got n={n}, m={m}")
     rng = np.random.default_rng(seed)
-    edges = [(0, i) for i in range(1, m + 1)]
-    # One entry per edge endpoint; uniform draws from this list are
-    # degree-weighted draws over nodes.
-    endpoint_pool: list[int] = []
-    for i, j in edges:
-        endpoint_pool.append(i)
-        endpoint_pool.append(j)
+    # Each edge's two endpoints in turn: uniform draws from this list are degree-weighted draws over nodes.
+    ends = [v for i in range(1, m + 1) for v in (0, i)]
     for new in range(m + 1, n):
         targets: set[int] = set()
         while len(targets) < m:
-            cand = endpoint_pool[int(rng.integers(len(endpoint_pool)))]
-            if cand not in targets:
-                targets.add(cand)
+            targets.add(ends[int(rng.integers(len(ends)))])
         for t in sorted(targets):
-            edges.append((t, new))
-            endpoint_pool.append(t)
-            endpoint_pool.append(new)
-    return Graph(n, tuple(edges))
+            ends += (t, new)
+    return Graph(n, np.reshape(ends, (-1, 2)))
 
 
 def draw_connected_er(n: int, p: float, rng: np.random.Generator, attempts: int) -> tuple[Graph, int]:
@@ -276,7 +294,7 @@ def write_edgelist(g: Graph, path: str | Path) -> None:
     """Write the text edge-list form: first line ``n m``, then one ``i j`` line
     per edge with i < j, 0-indexed, LF newlines."""
     lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{i} {j}" for i, j in g.edges)
+    lines.extend(f"{i} {j}" for i, j in g.edges.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -316,29 +334,26 @@ def read_edgelist(path: str | Path) -> Graph:
         raise ValueError(f"{path}:{head_no}: header must be two integers") from exc
     if n < 1:
         raise ValueError(f"{path}:{head_no}: graph needs at least one node, got n={n}")
+    if n >= 2**63:
+        raise ValueError(f"{path}:{head_no}: node count n={n} does not fit in int64")
     if len(body) != m:
         raise ValueError(f"{path}:{head_no}: header claims {m} edges, found {len(body)}")
-    edges: list[tuple[int, int]] = []
-    for k, ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{k}: edge line must be 'i j', got {ln!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{k}: edge endpoints must be integers") from exc
-        if not 0 <= i < j < n:
-            if not i < j:
-                raise ValueError(f"{path}:{k}: edges must be written with i < j, got {i} {j}")
-            raise ValueError(f"{path}:{k}: edge ({i},{j}) out of range for n={n}")
-        edges.append((i, j))
-    if len(set(edges)) < m:
-        seen: set[tuple[int, int]] = set()
-        for (k, _), (i, j) in zip(body, edges):
-            if (i, j) in seen:
-                raise ValueError(f"{path}:{k}: duplicate edge ({i},{j})")
-            seen.add((i, j))
-    return Graph(n, tuple(edges))
+    pairs: list[tuple[int, int]] = []
+    try:
+        for k, ln in body:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"{path}:{k}: edge line must be 'i j', got {ln!r}")
+            try:
+                pairs.append((int(parts[0]), int(parts[1])))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{k}: edge endpoints must be integers") from exc
+        return Graph(n, pairs)
+    except ValueError:  # an edge fault, from Graph or on a line above an unparsable one, comes first
+        fault = _sorted_edges(n, pairs)[1]
+        if fault is None:
+            raise
+        raise ValueError(f"{path}:{body[fault[0]][0]}: {fault[1]}") from None
 
 
 @contextlib.contextmanager

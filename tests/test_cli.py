@@ -115,6 +115,21 @@ class TestFeatures:
         assert blob["error"] == f"{path}: {reason}"
         assert blob["type"] == "ValueError"
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("99999999999999999999 1\n0 99999999999999999998\n", ":1: node count n=99999999999999999999 does not fit in int64"),
+            ("3 1\n0 99999999999999999999\n", ":2: edge (0,99999999999999999999) out of range for n=3"),
+        ],
+        ids=["node-count", "endpoint"],
+    )
+    def test_integer_beyond_int64_names_file_and_line(self, tmp_path, capsys, text, where):
+        path = tmp_path / "g.edges"
+        path.write_text(text)
+        code, out, err = run(capsys, ["features", str(path)])
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"{path}{where}", "type": "ValueError"}
+
     def test_unallocatable_node_count_names_the_file(self, tmp_path, capsys):
         # 10**12 nodes need terabytes per feature column; the allocation is refused outright.
         path = tmp_path / "g.edges"

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,38 @@ class TestGraphContainer:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Graph(0)
+
+    def test_rejects_reversed_pair(self):
+        with pytest.raises(ValueError, match=re.escape("edges must be written with i < j, got 2 1")):
+            Graph(3, ((2, 1),))
+
+    def test_endpoint_beyond_int64_is_out_of_range(self):
+        with pytest.raises(ValueError, match=re.escape("edge (0,100000000000000000000) out of range for n=3")):
+            Graph(3, ((0, 10**20),))
+
+    def test_tuples_and_unsorted_int32_array_give_one_graph(self):
+        g = Graph(4, ((0, 1), (1, 2), (2, 3)))
+        h = Graph(4, np.array([[2, 3], [0, 1], [1, 2]], dtype=np.int32))
+        assert g == h and hash(g) == hash(h)
+        assert h.edges.dtype == np.int64 and h.edges.tolist() == [[0, 1], [1, 2], [2, 3]]
+        assert g != Graph(5, g.edges) and g != Graph(4, g.edges[:2])
+
+    def test_edges_are_a_read_only_copy(self):
+        source = np.array([[0, 1], [1, 2]])
+        g = Graph(3, source)
+        with pytest.raises(ValueError, match="read-only"):
+            g.edges[0, 0] = 2
+        source[0] = (0, 2)
+        assert g.edges.tolist() == [[0, 1], [1, 2]]
+
+    def test_huge_node_count_validates_without_per_node_memory(self):
+        tracemalloc.start()
+        try:
+            g = Graph(10**12, ((0, 10**12 - 1),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edges.tolist() == [[0, 10**12 - 1]] and peak < 1 << 20
 
     def test_neighbors_and_degrees(self):
         g = Graph(4, ((0, 1), (1, 2), (1, 3)))
@@ -106,7 +139,7 @@ class TestDeterministicFamilies:
     def test_star_hub_is_node_zero(self):
         g = make_star(5)
         assert g.degrees.tolist() == [4, 1, 1, 1, 1]
-        assert g.edges == ((0, 1), (0, 2), (0, 3), (0, 4))
+        assert g.edges.tolist() == [[0, 1], [0, 2], [0, 3], [0, 4]]
 
     def test_wheel_degrees(self):
         # Hub degree n-1, rim degree 3, 2(n-1) edges.
@@ -126,12 +159,12 @@ class TestDeterministicFamilies:
 
     @pytest.mark.parametrize("n", [3, 4, 250])
     def test_cycle_edges_are_canonical(self, n):
-        assert make_cycle(n).edges == canonical_edges((i, (i + 1) % n) for i in range(n))
+        assert make_cycle(n).edges.tolist() == list(map(list, canonical_edges((i, (i + 1) % n) for i in range(n))))
 
     @pytest.mark.parametrize("n", [4, 5, 250])
     def test_wheel_edges_are_canonical(self, n):
         rim = [(i, i % (n - 1) + 1) for i in range(1, n)]
-        assert make_wheel(n).edges == canonical_edges([(i, 0) for i in range(1, n)] + rim)
+        assert make_wheel(n).edges.tolist() == list(map(list, canonical_edges([(i, 0) for i in range(1, n)] + rim)))
 
     def test_cycle_200_principal_eigenvalue_is_two(self):
         # 2-regular graph: leading adjacency eigenvalue equals the degree.
@@ -152,10 +185,10 @@ class TestErdosRenyi:
             make_er(5, 1.5, seed=0)
 
     def test_same_seed_same_graph(self):
-        assert make_er(50, 0.1, seed=3).edges == make_er(50, 0.1, seed=3).edges
+        assert make_er(50, 0.1, seed=3).edges.tolist() == make_er(50, 0.1, seed=3).edges.tolist()
 
     def test_different_seed_usually_differs(self):
-        assert make_er(50, 0.1, seed=3).edges != make_er(50, 0.1, seed=4).edges
+        assert make_er(50, 0.1, seed=3).edges.tolist() != make_er(50, 0.1, seed=4).edges.tolist()
 
     def test_draw_connected_er_keeps_the_first_connected_seed(self):
         rng, replay = np.random.default_rng(4), np.random.default_rng(4)
@@ -190,7 +223,7 @@ class TestScaleFree:
         assert g.m == m * (n - m - 1) + m == 196
 
     def test_seed_graph_returned_unchanged(self):
-        assert make_scale_free(3, 2, seed=0).edges == make_star(3).edges
+        assert make_scale_free(3, 2, seed=0).edges.tolist() == make_star(3).edges.tolist()
 
     def test_connected_by_construction(self):
         for seed in range(10):
@@ -203,7 +236,7 @@ class TestScaleFree:
             make_scale_free(2, 2, seed=0)
 
     def test_same_seed_same_graph(self):
-        assert make_scale_free(80, 3, seed=11).edges == make_scale_free(80, 3, seed=11).edges
+        assert make_scale_free(80, 3, seed=11).edges.tolist() == make_scale_free(80, 3, seed=11).edges.tolist()
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("at", ["smallest", "250"])
@@ -213,9 +246,9 @@ class TestScaleFree:
         # Each edge reversed and the list shuffled: only the canonical form is left to compare.
         flipped = [(j, i) for i, j in g.edges]
         np.random.default_rng(m).shuffle(flipped)
-        assert g.edges == canonical_edges(flipped)
+        assert g.edges.tolist() == list(map(list, canonical_edges(flipped)))
         # The seed star, then m edges from each grown node to m distinct earlier ones.
-        assert g.edges[:m] == tuple((0, i) for i in range(1, m + 1))
+        assert g.edges[:m].tolist() == [[0, i] for i in range(1, m + 1)]
         assert np.bincount([j for _, j in g.edges], minlength=n)[m + 1 :].tolist() == [m] * (n - m - 1)
 
     def test_heavier_degree_tail_than_er(self):
@@ -237,7 +270,7 @@ class TestInvariants:
     def test_generated_graphs_are_simple(self):
         for seed in range(10):
             g = make_scale_free(50, 2, seed=seed)
-            assert len(set(g.edges)) == g.m
+            assert len(set(map(tuple, g.edges.tolist()))) == g.m
             assert all(i < j for i, j in g.edges)
 
 
@@ -357,8 +390,25 @@ class TestEdgelistIO:
             ("\n0 0\n", r":2: graph needs at least one node, got n=0"),
             ("\n3 2\n0 1\n\n", r":2: header claims 2 edges, found 1"),
             ("3 2\n0 1\n\n\udcff 2\n", r":4: not UTF-8 text"),
+            ("3 1\n1 1\n", r":2: self loop \(1,1\) is not allowed"),
+            ("3 4\n0 1\n2 1\n0 2\n1 x\n", r":3: edges must be written with i < j, got 2 1"),
+            ("3 3\n0 1\n0 1\n1 5\n", r":4: edge \(1,5\) out of range for n=3"),
+            ("99999999999999999999 1\n0 99999999999999999998\n", r":1: node count n=99999999999999999999 does not fit in int64"),
+            ("3 1\n0 99999999999999999999\n", r":2: edge \(0,99999999999999999999\) out of range for n=3"),
         ],
-        ids=["after-blank-line", "out-of-range", "duplicate", "no-nodes", "edge-count", "not-utf8"],
+        ids=[
+            "after-blank-line",
+            "out-of-range",
+            "duplicate",
+            "no-nodes",
+            "edge-count",
+            "not-utf8",
+            "self-loop",
+            "first-bad-line",
+            "duplicate-after-other-faults",
+            "n-beyond-int64",
+            "endpoint-beyond-int64",
+        ],
     )
     def test_errors_name_the_original_line(self, tmp_path, text, message):
         path = tmp_path / "bad.edges"

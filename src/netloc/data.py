@@ -3,8 +3,8 @@ and a reproducible on-disk layout (manifest.json + graphs/*.edges + targets.csv)
 
 Targets are always the IPR of the adjacency principal eigenvector computed by
 the spectral oracle. Datasets carry graphs and targets only: node features
-are derived from the graphs, in one group pass over the items that lack
-them (:func:`cache_features`), never stored in or read from files.
+are derived from the graphs, in one group pass over a split's items
+(:func:`feature_matrices`), never kept on an item, stored in or read from files.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import math
 import typing
 from dataclasses import asdict, dataclass, field
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +39,7 @@ from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, label_graph
 __all__ = [
     "FAMILIES",
     "LabeledGraph",
-    "cache_features",
+    "feature_matrices",
     "DatasetSpec",
     "ParseError",
     "DatasetFormatError",
@@ -82,35 +81,21 @@ class LabeledGraph:
     seed: int | None = None
     source: str | None = field(default=None, compare=False, repr=False)
 
-    @cached_property
-    def features(self) -> np.ndarray:
-        """Structural node feature matrix, built from the graph on first use.
 
-        An error raised while building it names ``source``.
-        :func:`cache_features` fills it for many items in one pass.
-        """
-        with naming(self.source) if self.source else contextlib.nullcontext():
-            return build_feature_matrix(self.graph)
+def feature_matrices(items: typing.Sequence[LabeledGraph]) -> list[np.ndarray]:
+    """Each item's structural node feature matrix, from one group pass over their graphs.
 
-
-def cache_features(items: typing.Sequence[LabeledGraph]) -> None:
-    """Give every item that lacks a feature matrix its own, from one group pass.
-
-    If the group pass fails, each of those items builds its own in item
-    order, so the first item that fails raises its own error, named by its
-    edge file.
+    If the group pass fails, each item builds its own in item order, so the
+    first item that fails raises its own error, named by its edge file.
     """
-    todo = [it for it in items if "features" not in vars(it)]
-    if not todo:
-        return
     try:
-        matrices = build_feature_matrices([it.graph for it in todo])
+        return build_feature_matrices([it.graph for it in items])
     except (ValueError, RuntimeError, MemoryError):
-        for it in todo:
-            it.features
-        return
-    for it, h in zip(todo, matrices):
-        vars(it)["features"] = h
+        matrices = []
+        for it in items:
+            with naming(it.source) if it.source else contextlib.nullcontext():
+                matrices.append(build_feature_matrix(it.graph))
+        return matrices
 
 
 @dataclass(frozen=True)
@@ -300,7 +285,7 @@ def preprocess(graphs, name: str, min_nodes: int) -> list[LabeledGraph]:
 
     Accepts raw graphs or already-labeled items (labels are recomputed), so
     the operation is idempotent. No features are computed here; ``train`` and
-    ``evaluate`` build them in one group pass, :func:`cache_features`.
+    ``evaluate`` each build their items' in one :func:`feature_matrices` call.
     """
     kept: list[LabeledGraph] = []
     for item in graphs:
@@ -380,15 +365,16 @@ def _cell(where: str, name: str, cast, text: str):
 def load_dataset(directory: str | Path, verify: bool = True) -> tuple[list[LabeledGraph], dict]:
     """Read the native layout back as graphs and targets.
 
-    No features are computed here; ``train`` and ``evaluate`` build them in
-    one group pass, :func:`cache_features`.
+    No features are computed here; ``train`` and ``evaluate`` each build
+    their items' in one :func:`feature_matrices` call.
 
     With ``verify`` on, every 20th stored target is re-derived from the
     spectral oracle, at the ``label_tol`` and ``label_max_iter`` of the
     manifest's spec, or of ``DatasetSpec()`` (the oracle's defaults, which
     :func:`preprocess` labels with) when it has none, and must agree to 1e-9.
     A graph the oracle refuses raises :class:`DatasetFormatError` naming its
-    edge file; an error in a loaded item's feature pass names that file too.
+    edge file; :func:`feature_matrices` names a loaded item's file in an
+    error from its features too.
     """
     directory = Path(directory)
     man_path = directory / "manifest.json"

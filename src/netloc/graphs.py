@@ -38,7 +38,7 @@ __all__ = [
 class Graph:
     """Immutable simple undirected graph on nodes ``0..n-1``.
 
-    ``edges``, an ``(m, 2)`` integer array or any iterable of ``(i, j)`` pairs, is validated
+    ``edges``, an ``(m, 2)`` integer array or any iterable of integer ``(i, j)`` pairs, is validated
     (i < j, no repeats) and stored as a sorted, read-only int64 copy. Graphs compare by value.
     """
 
@@ -46,6 +46,8 @@ class Graph:
     edges: np.ndarray = field(default=())
 
     def __post_init__(self) -> None:
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
+            raise ValueError(f"node count must be an integer, got {self.n!r}")
         if self.n < 1:
             raise ValueError(f"graph needs at least one node, got n={self.n}")
         e, fault = _sorted_edges(self.n, self.edges)
@@ -109,12 +111,19 @@ class Graph:
 
 def _sorted_edges(n: int, edges) -> tuple[np.ndarray, tuple[int, str] | None]:
     """``edges`` as an ``(m, 2)`` int64 array sorted by row, and the index and message of its first
-    row that is not an edge ``0 <= i < j < n``, else of its first repeated row; None if neither."""
+    row that is not an edge ``0 <= i < j < n``, else of its first repeated row; None if neither.
+    Rows hold Python ints if an endpoint does not fit in int64; one that is not an integer raises."""
     edges = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = np.asarray(edges)
+    if not (e.size == 0 or e.dtype.kind == "i" or (e.dtype.kind == "u" and e.max() < 2**63)):
+        e = np.array(edges, dtype=object)  # ints beyond int64 read as floats or objects
+        for x in e.flat:
+            if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+                raise ValueError(f"edge endpoints must be integers, got {x!r}")
     try:
-        e = np.array(edges, dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # such an endpoint is out of range or order; object rows keep its digits
-        e = np.array(edges, dtype=object).reshape(-1, 2)
+        e = e.astype(np.int64, copy=False).reshape(-1, 2)
+    except OverflowError:  # such an endpoint is out of range or order
+        e = e.reshape(-1, 2)
     i, j = e[:, 0], e[:, 1]
     bad = np.flatnonzero((i >= j) | (i < 0) | (j >= n))
     if bad.size:

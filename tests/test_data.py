@@ -10,7 +10,7 @@ from netloc.data import (
     LabeledGraph,
     ParseError,
     build_synthetic,
-    cache_features,
+    feature_matrices,
     ingest_tu_dataset,
     load_dataset,
     preprocess,
@@ -139,9 +139,9 @@ class TestBuildSynthetic:
 
     def test_features_derive_from_the_graph(self):
         train, _ = build_synthetic(small_spec(families=("cycle", "er"), train_count=2, test_count=0))
-        for it in train:
-            np.testing.assert_array_equal(it.features, build_feature_matrix(it.graph))
-            assert it.features is it.features
+        for it, h in zip(train, feature_matrices(train)):
+            np.testing.assert_array_equal(h, build_feature_matrix(it.graph))
+        assert not hasattr(train[0], "features")
 
 
 def write_bytes(path, text):
@@ -475,9 +475,9 @@ class TestSaveLoad:
         path = self.save_with_broken_first_item(tmp_path / "ds")
         items, _ = load_dataset(tmp_path / "ds", verify=False)
         with pytest.raises(ValueError) as info:
-            items[0].features
+            feature_matrices(items)
         assert str(info.value) == f"{path}: pagerank needs every node to have degree >= 1"
-        np.testing.assert_array_equal(items[1].features, build_feature_matrix(items[1].graph))
+        np.testing.assert_array_equal(feature_matrices(items[1:])[0], build_feature_matrix(items[1].graph))
 
     def test_verify_relabels_with_the_spec_tolerance(self, tmp_path):
         # A loose label_tol stores targets far from the default oracle's; the
@@ -592,8 +592,8 @@ class TestSaveLoad:
             load_dataset(tmp_path / "ds")
 
 
-class TestCacheFeatures:
-    """One group feature pass over the items that lack a matrix."""
+class TestFeatureMatrix:
+    """:func:`feature_matrices`: one group feature pass over a split's items."""
 
     @staticmethod
     def named(graphs):
@@ -603,13 +603,11 @@ class TestCacheFeatures:
 
     def test_each_item_gets_the_matrix_it_builds_alone(self, feature_builds):
         items, _ = build_synthetic(small_spec(families=FAMILIES, train_count=12, test_count=0))
-        items[3].features
-        feature_builds.clear()
-        cache_features(items)
-        cache_features(items)
-        assert feature_builds == [[it.graph for i, it in enumerate(items) if i != 3]]
-        for it in items:
-            np.testing.assert_array_equal(it.features, build_feature_matrix(it.graph))
+        matrices = feature_matrices(items)
+        assert feature_builds == [[it.graph for it in items]]
+        assert len(matrices) == len(items)
+        for it, h in zip(items, matrices):
+            np.testing.assert_array_equal(h, build_feature_matrix(it.graph))
 
     @pytest.mark.parametrize(
         "broken, kind, message",
@@ -624,7 +622,7 @@ class TestCacheFeatures:
         shapes = {"disconnected": Graph(4, ((0, 1), (2, 3))), "huge": Graph(10**12), "isolated": Graph(10, ((0, 1), (2, 3)))}
         items = self.named([make_star(6), *(shapes[name] for name in broken.split(","))])
         with pytest.raises(kind) as info:
-            cache_features(items)
+            feature_matrices(items)
         assert str(info.value).startswith(f"ds/graphs/000001.edges: {message}")
         assert str(info.value).count("ds/graphs/") == 1
 
@@ -633,6 +631,6 @@ class TestCacheFeatures:
         monkeypatch.setattr(netloc.features, "_PAGERANK_MAX_ITER", 5)
         items = self.named([make_cycle(6), make_star(6), make_star(7)])
         with pytest.raises(ConvergenceError) as info:
-            cache_features(items)
+            feature_matrices(items)
         assert str(info.value) == "ds/graphs/000001.edges: pagerank did not converge to 1e-10 in 5 iterations"
         assert info.value.residual > 1e-10 and info.value.iterations == 5

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,7 @@ from netloc.features import (
     degree_centrality,
     pagerank,
 )
-from netloc.graphs import Graph, is_connected, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
+from netloc.graphs import Graph, draw_connected_er, is_connected, make_cycle, make_er, make_path, make_scale_free, make_star, make_wheel
 
 from oracles import (
     adjacency_lists,
@@ -502,3 +503,17 @@ class TestGroupPass:
                 tracemalloc.stop()
 
         assert peak(graphs) <= 2 * peak(graphs[-1:])
+
+
+def test_feature_bits_are_pinned():
+    # The four deterministic families at every size from their smallest to 80,
+    # then seeded ER (mean degree 8) and scale-free (m = 2) graphs at n = 60 and 150.
+    families = ((make_cycle, 3), (make_path, 2), (make_star, 2), (make_wheel, 4))
+    graphs = [make(n) for make, lo in families for n in range(lo, 81)]
+    for n in (60, 150):
+        graphs.append(draw_connected_er(n, 8.0 / n, np.random.default_rng(n), 100)[0])
+        graphs.append(make_scale_free(n, 2, seed=n))
+    digest = hashlib.sha256()
+    for g, x in zip(graphs, build_feature_matrices(graphs)):
+        digest.update(f"{g.n} {g.m}\n".encode() + x.tobytes())
+    assert digest.hexdigest() == "732d963aca380f0eb340b576973ddd0a1b43f491f1f3d4e2a066c0c6ba8bf607"

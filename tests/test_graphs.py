@@ -56,6 +56,34 @@ class TestGraphContainer:
         with pytest.raises(ValueError, match=re.escape("edge (0,100000000000000000000) out of range for n=3")):
             Graph(3, ((0, 10**20),))
 
+    @pytest.mark.parametrize(
+        "edges",
+        [np.array([[0.5, 1.7]]), [(0.5, 1.7)], np.array([[False, True]]), [(0, 1.0)], [(0, 10**20), (0.5, 1)]],
+        ids=["float-array", "float-pairs", "bool-array", "integral-float", "float-beside-a-huge-int"],
+    )
+    def test_rejects_non_integer_endpoints(self, edges):
+        with pytest.raises(ValueError, match="edge endpoints must be integers"):
+            Graph(3, edges)
+
+    def test_uint64_endpoint_beyond_int64_keeps_its_digits(self):
+        with pytest.raises(ValueError, match=re.escape("edge (0,9223372036854775808) out of range for n=3")):
+            Graph(3, np.array([[0, 2**63]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("n, edges", [(2.5, [(0, 1)]), (3.0, [(0, 1)]), (True, ()), ("3", ())], ids=["2.5", "3.0", "True", "str"])
+    def test_rejects_a_node_count_that_is_not_an_integer(self, n, edges):
+        with pytest.raises(ValueError, match="node count must be an integer"):
+            Graph(n, edges)
+
+    @pytest.mark.parametrize("edges", [(), [], np.empty((0, 2)), np.empty(0, dtype=bool), np.empty((0, 2), dtype=np.uint64)])
+    def test_empty_edges_of_any_dtype_are_accepted(self, edges):
+        g = Graph(3, edges)
+        assert g == Graph(3) and g.edges.dtype == np.int64 and g.edges.shape == (0, 2)
+
+    def test_numpy_integers_are_accepted(self):
+        g = Graph(np.int64(4), np.array([[0, 3], [1, 2]], dtype=np.uint64))
+        assert g == Graph(4, ((0, 3), (1, 2)))
+        assert Graph(3, np.array([[0, 1]], dtype=object)).edges.dtype == np.int64
+
     def test_tuples_and_unsorted_int32_array_give_one_graph(self):
         g = Graph(4, ((0, 1), (1, 2), (2, 3)))
         h = Graph(4, np.array([[2, 3], [0, 1], [1, 2]], dtype=np.int32))

@@ -5,7 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
-from netloc.data import DatasetSpec, build_synthetic
+import netloc.data
+from netloc.data import DatasetSpec, build_synthetic, feature_matrices
 from netloc.gat import GAT
 from netloc.gcn import GCN
 from netloc.models import load_checkpoint
@@ -156,13 +157,13 @@ class TestTrainLoop:
         assert info.value.epoch >= 1
         assert not np.isfinite(info.value.loss_value)
 
-    def test_train_then_evaluate_build_each_feature_matrix_once(self, feature_builds):
-        # train builds its two items in one call; evaluate builds only the two it lacks.
+    def test_train_and_evaluate_each_make_one_feature_call(self, feature_builds):
+        # Nothing is kept on an item: evaluate builds all four, also the two train built.
         items = tiny_items(train_count=4)
         feature_builds.clear()
         result = train(tiny_config(epochs=1), items[:2])
         evaluate(result.model, result.params, items)
-        assert feature_builds == [[it.graph for it in items[:2]], [it.graph for it in items[2:]]]
+        assert feature_builds == [[it.graph for it in items[:2]], [it.graph for it in items]]
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -184,7 +185,7 @@ class TestTrainLoop:
             items += tiny_items(train_count=1, families=("er",), size_range=(n, n))
         model = build_model(TrainConfig(model=model_kind))
         params = model.init_params(0)
-        inputs = [model.prepare(it.graph, it.features) for it in items]
+        inputs = [model.prepare(it.graph, h) for it, h in zip(items, feature_matrices(items))]
         targets = np.array([it.target for it in items])
         if model_kind == "gcn":
             assert inputs[-1][2].size == items[-1].graph.n
@@ -258,14 +259,17 @@ class TestEvaluate:
             with pytest.raises(ValueError, match=r"^mse is inf$"):
                 evaluate(model, params, items)
 
-    def test_peak_memory_is_that_of_one_graph(self):
+    def test_peak_memory_is_that_of_one_graph(self, monkeypatch):
         # Each graph is prepared as it is predicted, so only one graph's
         # normalized adjacency is alive at a time.
         items = tiny_items(train_count=24, size_range=(100, 140))
         model, params = constant_predictor(0.1)
+        built = {id(it.graph): h for it, h in zip(items, feature_matrices(items))}
         for it in items:
-            # Fill what the item and its graph cache, which outlives evaluate.
-            model.prepare(it.graph, it.features)
+            # Fill what the graph caches, which outlives evaluate.
+            model.prepare(it.graph, built[id(it.graph)])
+        # Prediction memory only: the features come built before tracing starts.
+        monkeypatch.setattr(netloc.data, "build_feature_matrices", lambda graphs: [built[id(g)] for g in graphs])
 
         def peak(batch):
             tracemalloc.start()
